@@ -22,7 +22,7 @@ struct CannonArgs {
   ProblemSpec problem;    // m == k == n required
   LocalBlocks* local = nullptr;
   trace::RankStats* stats = nullptr;
-  /// Look-ahead depth (see SummaArgs::lookahead). D >= 1 runs the task
+  /// Look-ahead depth (see SummaFamilyArgs::lookahead). D >= 1 runs the task
   /// plan with a max(2, D+1)-slot block ring, overlapping the A/B
   /// rotations of step q+1 with the multiply of step q.
   int lookahead = 0;

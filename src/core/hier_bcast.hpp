@@ -1,22 +1,21 @@
-// Multilevel hierarchical broadcast and the >2-level HSUMMA extension
-// (the paper's "more than two levels of hierarchy" future work).
+// Multilevel hierarchical broadcast (the paper's "more than two levels of
+// hierarchy" future work).
 //
 // hier_bcast decomposes a broadcast over p ranks into phases given level
 // factors f1 x f2 x ... x fL = p: first among f1 representatives (one per
 // block of p/f1 ranks, at the root's offset within its block), then
 // recursively inside each block. With a single factor {J} applied to
 // SUMMA's row broadcast this is exactly HSUMMA's two-phase structure with
-// b = B; deeper factor chains give 3-level, 4-level, ... HSUMMA.
+// b = B; deeper factor chains give 3-level, 4-level, ... HSUMMA (the
+// SUMMA family in core/summa_family.hpp runs all of them on BcastChain).
 #pragma once
 
-#include <span>
+#include <optional>
 #include <vector>
 
 #include "core/spec.hpp"
 #include "desim/task.hpp"
 #include "mpc/collectives.hpp"
-#include "trace/phase.hpp"
-#include "trace/recorder.hpp"
 
 namespace hs::core {
 
@@ -30,15 +29,59 @@ struct BcastStage {
   int level = 0;
 };
 
-/// The calling rank's phase sequence for hier_bcast(comm, root, factors):
-/// awaiting mpc::bcast on each stage in order is exactly the hierarchical
-/// broadcast. Exposed so the task runtime can lower every phase to its own
-/// comm task (per-level spans, per-level slot-ring dependencies) and the
-/// blocking kernel can wrap each phase in a per-level timer, while both
-/// share one decomposition. Ranks that are not representatives at a level
-/// simply have no stage for it; a size-1 comm yields no stages at all.
-std::vector<BcastStage> hier_bcast_stages(mpc::Comm comm, int root,
-                                          const std::vector<int>& factors);
+/// One rank's communicators for hierarchical broadcasts over `comm`, built
+/// once. Per chain level the rank belongs to exactly one representatives'
+/// communicator (the ranks at its own offset within their blocks), and it
+/// ends in one innermost block. Only *which* of those stages a broadcast
+/// uses, and their roots, depend on the root — so a kernel builds the chain
+/// once and asks for each step's stages without creating communicators.
+///
+/// Without `keep_trivial` the stages are exactly hier_bcast's phases:
+/// factor-1 levels keep their level number but yield no stage, and a block
+/// that shrinks to one rank ends the chain. With it every level yields a
+/// stage even on a size-1 communicator — the convention of the two-level
+/// HSUMMA grid ({J} along rows, {I} along columns) and of flat SUMMA (no
+/// factors: one stage over `comm`).
+class BcastChain {
+ public:
+  BcastChain() = default;
+  /// Every factor must divide the remaining block size; factors need not
+  /// multiply to comm.size() (the innermost block is "whatever remains").
+  BcastChain(const mpc::Comm& comm, const std::vector<int>& factors,
+             bool keep_trivial = false);
+
+  /// Calls `emit(stage)` for each of this rank's stages of a broadcast
+  /// rooted at `root` (a rank of the chain's communicator), outermost
+  /// first. Awaiting mpc::bcast on each in order is the hierarchical
+  /// broadcast.
+  template <typename Emit>
+  void for_each_stage(int root, Emit&& emit) const {
+    HS_REQUIRE(root >= 0 && root < size_);
+    for (const Link& link : links_) {
+      if (link.offset == root % link.block)
+        emit(BcastStage{link.reps, root / link.block, link.level});
+      root %= link.block;
+    }
+    if (leaf_) emit(BcastStage{*leaf_, root, leaf_level_});
+  }
+
+  /// The stages of for_each_stage as a vector.
+  std::vector<BcastStage> stages(int root) const;
+
+ private:
+  // One level: this rank's representatives' communicator, the block size
+  // below the level, and this rank's offset within its block.
+  struct Link {
+    mpc::Comm reps;
+    int block = 1;
+    int offset = 0;
+    int level = 0;
+  };
+  int size_ = 0;
+  std::vector<Link> links_;
+  std::optional<mpc::Comm> leaf_;
+  int leaf_level_ = 0;
+};
 
 /// Hierarchical broadcast. Every element of `level_factors` must divide the
 /// remaining block size; factors need not multiply to exactly comm.size()
@@ -46,29 +89,6 @@ std::vector<BcastStage> hier_bcast_stages(mpc::Comm comm, int root,
 desim::Task<void> hier_bcast(mpc::Comm comm, int root, mpc::Buf buf,
                              std::vector<int> level_factors,
                              std::optional<net::BcastAlgo> algo);
-
-struct HsummaMultilevelArgs {
-  mpc::Comm comm;
-  grid::GridShape shape;
-  ProblemSpec problem;               // single block size b (outer_block unused)
-  std::vector<int> row_levels;       // factor chain along grid rows (t)
-  std::vector<int> col_levels;       // factor chain along grid cols (s)
-  LocalBlocks* local = nullptr;
-  trace::RankStats* stats = nullptr;
-  std::optional<net::BcastAlgo> bcast_algo;
-  /// Look-ahead depth (see SummaArgs::lookahead). D >= 1 runs the task
-  /// plan (core/task_plan.hpp): the slot ring composes with any chain
-  /// depth, so multi-level broadcasts prefetch like flat SUMMA's.
-  int lookahead = 0;
-  trace::RankTracer tracer;
-};
-
-/// SUMMA with every broadcast replaced by a multilevel hierarchical
-/// broadcast. With row_levels = {J} and col_levels = {I} this reproduces
-/// HSUMMA(I x J groups, b = B) exactly (asserted by tests). Fills the
-/// per-level communication split (trace::RankStats::level_comm_time, one
-/// slot per chain level plus the trailing remainder phase).
-desim::Task<void> hsumma_multilevel_rank(HsummaMultilevelArgs args);
 
 /// Balanced factor chain for a multilevel hierarchy over `extent` ranks
 /// with `levels` levels. Contract (pinned by tests/core/test_multilevel.cpp):

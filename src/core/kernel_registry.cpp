@@ -9,12 +9,8 @@
 
 #include "core/cannon.hpp"
 #include "core/cholesky.hpp"
-#include "core/cyclic.hpp"
 #include "core/fox.hpp"
-#include "core/hier_bcast.hpp"
-#include "core/hsumma.hpp"
 #include "core/lu.hpp"
-#include "core/summa.hpp"
 #include "core/summa25d.hpp"
 #include "core/verify.hpp"
 #include "grid/distribution.hpp"
@@ -95,30 +91,12 @@ class GemmRun final : public KernelRun {
     LocalBlocks* local = local_of(rank);
     switch (options.algorithm) {
       case Algorithm::Summa:
-        return summa_rank({world, options.grid, prob, local, stats,
-                           options.bcast_algo, effective_lookahead(options),
-                           trace::RankTracer(options.recorder, rank)});
       case Algorithm::Hsumma:
-        return hsumma_rank({world, options.grid, options.groups, prob, local,
-                            stats, options.bcast_algo,
-                            effective_lookahead(options),
-                            trace::RankTracer(options.recorder, rank)});
-      case Algorithm::SummaCyclic:
-        return summa_cyclic_rank({world, options.grid, prob, local, stats,
-                                  options.bcast_algo,
-                                  effective_lookahead(options) >= 1,
-                                  trace::RankTracer(options.recorder, rank)});
-      case Algorithm::HsummaCyclic:
-        return hsumma_cyclic_rank({world, options.grid, options.groups, prob,
-                                   local, stats, options.bcast_algo,
-                                   effective_lookahead(options) >= 1,
-                                   trace::RankTracer(options.recorder, rank)});
       case Algorithm::HsummaMultilevel:
-        return hsumma_multilevel_rank(
-            {world, options.grid, prob, options.row_levels,
-             options.col_levels, local, stats, options.bcast_algo,
-             effective_lookahead(options),
-             trace::RankTracer(options.recorder, rank)});
+      case Algorithm::SummaCyclic:
+      case Algorithm::HsummaCyclic:
+        return summa_family_rank(
+            summa_family_args(options, world, local, stats));
       case Algorithm::Cannon:
         return cannon_rank({world, options.grid, prob, local, stats,
                             effective_lookahead(options),
@@ -399,10 +377,10 @@ std::vector<KernelDescriptor> build_registry() {
   }
   add(Algorithm::SummaCyclic, "summa-cyclic", Algorithm::SummaCyclic,
       Algorithm::HsummaCyclic, make_gemm_run)
-      .overlap_support = OverlapSupport::DoubleBuffer;
+      .overlap_support = OverlapSupport::TaskPlan;
   add(Algorithm::HsummaCyclic, "hsumma-cyclic", Algorithm::SummaCyclic,
       Algorithm::HsummaCyclic, make_gemm_run)
-      .overlap_support = OverlapSupport::DoubleBuffer;
+      .overlap_support = OverlapSupport::TaskPlan;
   add(Algorithm::Cannon, "cannon", Algorithm::Cannon, Algorithm::Cannon,
       make_gemm_run)
       .overlap_support = OverlapSupport::TaskPlan;
@@ -502,6 +480,42 @@ Algorithm algorithm_from_string(std::string_view name) {
   HS_REQUIRE_MSG(kernel != nullptr, "unknown kernel '" << name << "' (valid: "
                                     << kernel_name_list() << ")");
   return kernel->kernel;
+}
+
+SummaFamilyArgs summa_family_args(const RunOptions& options, mpc::Comm comm,
+                                  LocalBlocks* local,
+                                  trace::RankStats* stats) {
+  SummaFamilyArgs args;
+  args.comm = comm;
+  args.shape = options.grid;
+  args.problem = options.problem;
+  switch (options.algorithm) {
+    case Algorithm::Summa:
+    case Algorithm::SummaCyclic:
+      break;
+    case Algorithm::Hsumma:
+    case Algorithm::HsummaCyclic:
+      args.variant = SummaVariant::Hsumma;
+      args.row_levels = {options.groups.cols};
+      args.col_levels = {options.groups.rows};
+      break;
+    case Algorithm::HsummaMultilevel:
+      args.variant = SummaVariant::Multilevel;
+      args.row_levels = options.row_levels;
+      args.col_levels = options.col_levels;
+      break;
+    default:
+      HS_REQUIRE_MSG(false, "kernel '" << to_string(options.algorithm)
+                                       << "' is not a SUMMA-family kernel");
+  }
+  args.cyclic = options.algorithm == Algorithm::SummaCyclic ||
+                options.algorithm == Algorithm::HsummaCyclic;
+  args.local = local;
+  args.stats = stats;
+  args.bcast_algo = options.bcast_algo;
+  args.lookahead = effective_lookahead(options);
+  args.tracer = trace::RankTracer(options.recorder, comm.my_world_rank());
+  return args;
 }
 
 void adapt_hierarchy(const GroupHierarchy& hierarchy, RunOptions& options) {

@@ -12,8 +12,8 @@
 //
 // Layering: the registry owns the *harness* knowledge (how to build inputs,
 // spawn per-rank programs, verify outputs); the kernels themselves
-// (core/summa.hpp, core/lu.hpp, ...) stay plain coroutine factories with no
-// registry dependency.
+// (core/summa_family.hpp, core/lu.hpp, ...) stay plain coroutine factories
+// with no registry dependency.
 #pragma once
 
 #include <memory>
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/runner.hpp"
+#include "core/summa_family.hpp"
 
 namespace hs::core {
 
@@ -45,13 +46,11 @@ class KernelRun {
 };
 
 /// Communication/computation overlap capability, per kernel:
-///   None         — the kernel has no overlapped execution; any requested
-///                  overlap or lookahead is a hard error.
-///   DoubleBuffer — a hand-rolled double-buffered pipeline only; lookahead
-///                  is capped at D = 1 (the cyclic kernels).
-///   TaskPlan     — the kernel lowers to a task-plan schedule
-///                  (core/task_plan.hpp) and accepts any lookahead depth.
-enum class OverlapSupport { None, DoubleBuffer, TaskPlan };
+///   None     — the kernel has no overlapped execution; any requested
+///              overlap or lookahead is a hard error.
+///   TaskPlan — the kernel lowers to a task-plan schedule
+///              (core/task_plan.hpp) and accepts any lookahead depth.
+enum class OverlapSupport { None, TaskPlan };
 
 struct KernelDescriptor {
   Algorithm kernel = Algorithm::Summa;
@@ -116,5 +115,13 @@ void adapt_hierarchy(const GroupHierarchy& hierarchy, RunOptions& options);
 
 /// Legacy scalar entry point: adapt_hierarchy(GroupHierarchy::from_scalar).
 void adapt_groups(int groups, RunOptions& options);
+
+/// The SUMMA-family program arguments for one rank of a summa, hsumma,
+/// hsumma-multilevel, summa-cyclic or hsumma-cyclic run (`comm` is the
+/// rank's world communicator): HSUMMA's I x J groups become the chains
+/// {J} / {I}, the multilevel kernel takes row_levels / col_levels as they
+/// are, and the look-ahead depth is effective_lookahead(options).
+SummaFamilyArgs summa_family_args(const RunOptions& options, mpc::Comm comm,
+                                  LocalBlocks* local, trace::RankStats* stats);
 
 }  // namespace hs::core

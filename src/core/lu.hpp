@@ -41,7 +41,7 @@ struct LuArgs {
   la::Matrix* local_a = nullptr;
   trace::RankStats* stats = nullptr;
   std::optional<net::BcastAlgo> bcast_algo;
-  /// Look-ahead depth (see SummaArgs::lookahead). D >= 1 runs the task
+  /// Look-ahead depth (see SummaFamilyArgs::lookahead). D >= 1 runs the task
   /// plan: the trailing update of step k is split into the next pivot
   /// column strip plus the remainder, so panel k+1 factors and its
   /// broadcasts fly while the bulk of update k still streams (classic

@@ -109,18 +109,12 @@ RunResult run(mpc::Machine& machine, const RunOptions& options) {
                  "verification requires real payloads");
   const int lookahead = effective_lookahead(options);
   HS_REQUIRE_MSG(lookahead >= 0, "lookahead must be >= 0");
-  if (lookahead >= 1) {
-    HS_REQUIRE_MSG(kernel.overlap_support != OverlapSupport::None,
-                   "kernel '" << kernel.name
-                              << "' has no communication/computation overlap; "
-                                 "--overlap/--lookahead are supported by: "
-                              << overlap_kernel_name_list());
-    HS_REQUIRE_MSG(
-        kernel.overlap_support == OverlapSupport::TaskPlan || lookahead <= 1,
-        "kernel '" << kernel.name << "' only has a double-buffered pipeline "
-                   "(lookahead <= 1); depth " << lookahead
-                   << " needs a task-plan kernel");
-  }
+  HS_REQUIRE_MSG(lookahead == 0 ||
+                     kernel.overlap_support != OverlapSupport::None,
+                 "kernel '" << kernel.name
+                            << "' has no communication/computation overlap; "
+                               "--overlap/--lookahead are supported by: "
+                            << overlap_kernel_name_list());
   if (kernel.validate != nullptr) kernel.validate(options);
 
   const std::unique_ptr<KernelRun> body = kernel.make_run(options);

@@ -40,8 +40,7 @@ struct RunOptions {
   /// -1 derives the depth from `overlap` (true -> 1, false -> 0); 0 is the
   /// classic blocking schedule; 1 the double-buffered pipeline; D >= 2
   /// prefetches up to D panels (see core/task_plan.hpp). Requesting any
-  /// depth >= 1 on a kernel without overlap support is a hard error, and
-  /// depths >= 2 require OverlapSupport::TaskPlan.
+  /// depth >= 1 on a kernel without overlap support is a hard error.
   int lookahead = -1;
   bool verify = false;             // Real mode only
   std::uint64_t seed = 2013;       // input generator seed

@@ -5,7 +5,6 @@
 
 #include "core/hier_bcast.hpp"
 #include "core/panel.hpp"
-#include "grid/hier_grid.hpp"
 #include "grid/process_grid.hpp"
 #include "la/factor.hpp"
 #include "la/gemm.hpp"
@@ -37,13 +36,6 @@ int to_trace_level(int phase) {
   return -1;
 }
 
-/// One Machine::compute charge wrapped in the kernels' usual trace span.
-desim::Task<void> compute_charge(mpc::Machine& machine, int self, double flops,
-                                 trace::RankTracer tracer) {
-  trace::ComputeSpanGuard span(tracer, machine.engine(), flops);
-  co_await machine.compute(self, flops);
-}
-
 /// Cannon's step rotation: shift A left along the row, then B up along the
 /// column (sequential, like the classic loop body — each sendrecv already
 /// overlaps its own two transfers).
@@ -59,27 +51,19 @@ desim::Task<void> cannon_rotate_pair(mpc::Comm row, int a_dst, int a_src,
 
 }  // namespace
 
+desim::Task<void> compute_charge(mpc::Machine& machine, int self, double flops,
+                                 trace::RankTracer tracer) {
+  trace::ComputeSpanGuard span(tracer, machine.engine(), flops);
+  co_await machine.compute(self, flops);
+}
+
 void PlanObserver::task_issued(const desim::TaskGraph& graph, int id) {
   for (const desim::TaskStepMark& mark : graph.spec(id).marks)
     tracer_.begin_step(engine_, mark.step, to_trace_phase(mark.phase));
 }
 
 void PlanObserver::accrue_wait(double t0, double t1, int phase) {
-  stats_.comm_time += t1 - t0;
-  if (phase == kPhaseOuter) {
-    stats_.outer_comm_time += t1 - t0;
-  } else if (phase == kPhaseInner) {
-    stats_.inner_comm_time += t1 - t0;
-  } else if (phase >= kPhaseLevelBase) {
-    const auto level = static_cast<std::size_t>(phase - kPhaseLevelBase);
-    if (stats_.level_comm_time.size() <= level)
-      stats_.level_comm_time.resize(level + 1);
-    stats_.level_comm_time[level] += t1 - t0;
-    if (level == 0)
-      stats_.outer_comm_time += t1 - t0;
-    else
-      stats_.inner_comm_time += t1 - t0;
-  }
+  charge_comm(stats_, phase, t1 - t0);
 }
 
 void PlanObserver::flush() {
@@ -124,562 +108,6 @@ void PlanObserver::task_waited(const desim::TaskGraph& graph, int id,
     recorder->add_task({t0, t1, tracer_.rank(), trace::TaskSpanKind::Wait,
                         spec.step, to_trace_phase(spec.phase),
                         to_trace_level(spec.phase), spec.label});
-}
-
-// ---------------------------------------------------------------------------
-// SUMMA
-// ---------------------------------------------------------------------------
-
-desim::Task<void> summa_task_plan(SummaArgs args) {
-  check_summa_divisibility(args.shape, args.problem);
-  const grid::ProcessGrid pg(args.comm, args.shape);
-  mpc::Machine& machine = args.comm.machine();
-  const int self = args.comm.my_world_rank();
-  desim::Engine& engine = machine.engine();
-
-  const ProblemSpec& prob = args.problem;
-  const index_t b = prob.block;
-  const index_t local_m = prob.m / pg.rows();
-  const index_t local_n = prob.n / pg.cols();
-  const index_t local_k_a = prob.k / pg.cols();
-  const index_t local_k_b = prob.k / pg.rows();
-  const PayloadMode mode =
-      args.local == nullptr ? PayloadMode::Phantom : PayloadMode::Real;
-
-  trace::RankStats scratch_stats;
-  trace::RankStats& stats = args.stats ? *args.stats : scratch_stats;
-
-  const index_t steps = prob.k / b;
-  const int D = args.lookahead;
-  const int slots = D + 1;
-  std::vector<PanelBuffer> a_panels;
-  std::vector<PanelBuffer> b_panels;
-  a_panels.reserve(static_cast<std::size_t>(slots));
-  b_panels.reserve(static_cast<std::size_t>(slots));
-  for (int s = 0; s < slots; ++s) {
-    a_panels.emplace_back(local_m, b, mode);
-    b_panels.emplace_back(b, local_n, mode);
-  }
-
-  desim::TaskGraph graph;
-  int prev_a = -1;
-  int prev_b = -1;
-  for (index_t q = 0; q < steps; ++q) {
-    const int slot = static_cast<int>(q % slots);
-    const index_t pivot = q * b;
-    const int a_root = static_cast<int>(pivot / local_k_a);
-    const int b_root = static_cast<int>(pivot / local_k_b);
-
-    desim::TaskSpec a_spec;
-    a_spec.kind = desim::TaskKind::Comm;
-    a_spec.phase = kPhaseFlat;
-    a_spec.channel = pg.row_comm().context();
-    a_spec.step = q;
-    a_spec.label = "bcast A";
-    a_spec.wait_group = D >= 1 ? static_cast<int>(q) : -1;
-    a_spec.out = {desim::region_id("summa.a", static_cast<std::uint64_t>(slot))};
-    a_spec.marks = {{static_cast<long long>(q), kPhaseFlat}};
-    // D <= 1: pin the fork point to the legacy pipeline's — step q+1's pair
-    // forks only once *both* of step q's broadcasts have joined.
-    if (D <= 1 && prev_a >= 0) a_spec.after = {prev_a, prev_b};
-    desim::TaskGraph::Hook a_before;
-    if (mode == PayloadMode::Real && pg.my_col() == a_root)
-      a_before = [&args, &panel = a_panels[static_cast<std::size_t>(slot)],
-                  pivot, a_root, local_m, b, local_k_a] {
-        const index_t col0 = pivot - static_cast<index_t>(a_root) * local_k_a;
-        panel.view().copy_from(args.local->a.block(0, col0, local_m, b));
-      };
-    const int a_id = graph.add(
-        std::move(a_spec),
-        [&pg, &args, &panel = a_panels[static_cast<std::size_t>(slot)],
-         a_root] {
-          return mpc::bcast(pg.row_comm(), a_root, panel.buf(),
-                            args.bcast_algo);
-        },
-        std::move(a_before));
-
-    desim::TaskSpec b_spec;
-    b_spec.kind = desim::TaskKind::Comm;
-    b_spec.phase = kPhaseFlat;
-    b_spec.channel = pg.col_comm().context();
-    b_spec.step = q;
-    b_spec.label = "bcast B";
-    b_spec.wait_group = D >= 1 ? static_cast<int>(q) : -1;
-    b_spec.out = {desim::region_id("summa.b", static_cast<std::uint64_t>(slot))};
-    if (D <= 1 && prev_a >= 0) b_spec.after = {prev_a, prev_b};
-    desim::TaskGraph::Hook b_before;
-    if (mode == PayloadMode::Real && pg.my_row() == b_root)
-      b_before = [&args, &panel = b_panels[static_cast<std::size_t>(slot)],
-                  pivot, b_root, b, local_n, local_k_b] {
-        const index_t row0 = pivot - static_cast<index_t>(b_root) * local_k_b;
-        panel.view().copy_from(args.local->b.block(row0, 0, b, local_n));
-      };
-    const int b_id = graph.add(
-        std::move(b_spec),
-        [&pg, &args, &panel = b_panels[static_cast<std::size_t>(slot)],
-         b_root] {
-          return mpc::bcast(pg.col_comm(), b_root, panel.buf(),
-                            args.bcast_algo);
-        },
-        std::move(b_before));
-
-    desim::TaskSpec c_spec;
-    c_spec.kind = desim::TaskKind::Compute;
-    c_spec.phase = kPhaseFlat;
-    c_spec.step = q;
-    c_spec.label = "rank-b update";
-    c_spec.in = {desim::region_id("summa.a", static_cast<std::uint64_t>(slot)),
-                 desim::region_id("summa.b", static_cast<std::uint64_t>(slot))};
-    const double flops = la::gemm_flops(local_m, local_n, b);
-    graph.add(
-        std::move(c_spec),
-        [&machine, self, flops, tracer = args.tracer] {
-          return compute_charge(machine, self, flops, tracer);
-        },
-        {},
-        [mode, &args, &stats, flops,
-         &a_panel = a_panels[static_cast<std::size_t>(slot)],
-         &b_panel = b_panels[static_cast<std::size_t>(slot)]] {
-          if (mode == PayloadMode::Real)
-            la::gemm(a_panel.view(), b_panel.view(), args.local->c.view());
-          stats.flops += static_cast<std::uint64_t>(flops);
-        });
-    prev_a = a_id;
-    prev_b = b_id;
-  }
-
-  PlanObserver observer(engine, stats, args.tracer);
-  co_await desim::run_task_graph(engine, graph, D, &observer);
-  observer.flush();
-}
-
-// ---------------------------------------------------------------------------
-// HSUMMA
-// ---------------------------------------------------------------------------
-
-desim::Task<void> hsumma_task_plan(HsummaArgs args) {
-  check_hsumma_divisibility(args.shape, args.groups, args.problem);
-  const grid::HierGrid hg(args.comm, args.shape, args.groups);
-  mpc::Machine& machine = args.comm.machine();
-  const int self = args.comm.my_world_rank();
-  desim::Engine& engine = machine.engine();
-
-  const ProblemSpec& prob = args.problem;
-  const index_t b = prob.block;
-  const index_t outer = prob.effective_outer_block();
-  const index_t local_m = prob.m / args.shape.rows;
-  const index_t local_n = prob.n / args.shape.cols;
-  const index_t local_k_a = prob.k / args.shape.cols;
-  const index_t local_k_b = prob.k / args.shape.rows;
-  const grid::GridShape local_shape = hg.local_shape();
-  const PayloadMode mode =
-      args.local == nullptr ? PayloadMode::Phantom : PayloadMode::Real;
-
-  trace::RankStats scratch_stats;
-  trace::RankStats& stats = args.stats ? *args.stats : scratch_stats;
-
-  const index_t outer_steps = prob.k / outer;
-  const index_t inner_steps = outer / b;
-  const int D = args.lookahead;
-  // Outer panels: D >= 2 keeps D in flight (the cross-big-step prefetch the
-  // double buffer could not express); D <= 1 keeps one, exactly like the
-  // blocking outer phase the legacy overlap branch retained.
-  const int outer_slots = std::max(1, D);
-  const int inner_slots = D + 1;
-
-  std::vector<PanelBuffer> a_outers;
-  std::vector<PanelBuffer> b_outers;
-  std::vector<PanelBuffer> a_inners;
-  std::vector<PanelBuffer> b_inners;
-  a_outers.reserve(static_cast<std::size_t>(outer_slots));
-  b_outers.reserve(static_cast<std::size_t>(outer_slots));
-  a_inners.reserve(static_cast<std::size_t>(inner_slots));
-  b_inners.reserve(static_cast<std::size_t>(inner_slots));
-  for (int s = 0; s < outer_slots; ++s) {
-    a_outers.emplace_back(local_m, outer, mode);
-    b_outers.emplace_back(outer, local_n, mode);
-  }
-  for (int s = 0; s < inner_slots; ++s) {
-    a_inners.emplace_back(local_m, b, mode);
-    b_inners.emplace_back(b, local_n, mode);
-  }
-
-  desim::TaskGraph graph;
-  int last_compute = -1;  // C(s-1, last): the D<=1 big-step drain barrier
-  for (index_t s = 0; s < outer_steps; ++s) {
-    const index_t pivot = s * outer;
-    const int a_col = static_cast<int>(pivot / local_k_a);
-    const int a_group_col = a_col / local_shape.cols;
-    const int a_local_col = a_col % local_shape.cols;
-    const int b_row = static_cast<int>(pivot / local_k_b);
-    const int b_group_row = b_row / local_shape.rows;
-    const int b_local_row = b_row % local_shape.rows;
-    const int oslot = static_cast<int>(s % outer_slots);
-    const desim::RegionId ao_region =
-        desim::region_id("hsumma.ao", static_cast<std::uint64_t>(oslot));
-    const desim::RegionId bo_region =
-        desim::region_id("hsumma.bo", static_cast<std::uint64_t>(oslot));
-
-    // The Outer step mark rides on this rank's first task of the big step
-    // (OA where present, else OB, else the first inner broadcast), so D=0
-    // inline execution stamps it at exactly the legacy program point.
-    bool outer_mark_pending = true;
-    const auto take_marks = [&](desim::TaskSpec& spec, long long inner_step) {
-      if (outer_mark_pending)
-        spec.marks.push_back({static_cast<long long>(s), kPhaseOuter});
-      outer_mark_pending = false;
-      if (inner_step >= 0) spec.marks.push_back({inner_step, kPhaseInner});
-    };
-
-    int oa_id = -1;
-    int ob_id = -1;
-    if (hg.local_col() == a_local_col) {
-      desim::TaskSpec spec;
-      spec.kind = desim::TaskKind::Comm;
-      spec.phase = kPhaseOuter;
-      spec.channel = hg.group_row_comm().context();
-      spec.step = s;
-      spec.label = "outer bcast A";
-      spec.out = {ao_region};
-      take_marks(spec, -1);
-      if (D <= 1 && last_compute >= 0) spec.after = {last_compute};
-      desim::TaskGraph::Hook before;
-      if (mode == PayloadMode::Real && hg.flat().my_col() == a_col)
-        before = [&args, &panel = a_outers[static_cast<std::size_t>(oslot)],
-                  pivot, a_col, local_m, outer, local_k_a] {
-          const index_t col0 = pivot - static_cast<index_t>(a_col) * local_k_a;
-          panel.view().copy_from(args.local->a.block(0, col0, local_m, outer));
-        };
-      oa_id = graph.add(
-          std::move(spec),
-          [&hg, &args, &panel = a_outers[static_cast<std::size_t>(oslot)],
-           a_group_col] {
-            return mpc::bcast(hg.group_row_comm(), a_group_col, panel.buf(),
-                              args.bcast_algo);
-          },
-          std::move(before));
-    }
-    if (hg.local_row() == b_local_row) {
-      desim::TaskSpec spec;
-      spec.kind = desim::TaskKind::Comm;
-      spec.phase = kPhaseOuter;
-      spec.channel = hg.group_col_comm().context();
-      spec.step = s;
-      spec.label = "outer bcast B";
-      spec.out = {bo_region};
-      take_marks(spec, -1);
-      // D <= 1: the legacy path issued the B outer broadcast only after the
-      // A outer broadcast returned; D >= 2 lets them fly concurrently
-      // (independent communicators).
-      if (D <= 1) {
-        if (last_compute >= 0) spec.after.push_back(last_compute);
-        if (oa_id >= 0) spec.after.push_back(oa_id);
-      }
-      desim::TaskGraph::Hook before;
-      if (mode == PayloadMode::Real && hg.flat().my_row() == b_row)
-        before = [&args, &panel = b_outers[static_cast<std::size_t>(oslot)],
-                  pivot, b_row, outer, local_n, local_k_b] {
-          const index_t row0 = pivot - static_cast<index_t>(b_row) * local_k_b;
-          panel.view().copy_from(args.local->b.block(row0, 0, outer, local_n));
-        };
-      ob_id = graph.add(
-          std::move(spec),
-          [&hg, &args, &panel = b_outers[static_cast<std::size_t>(oslot)],
-           b_group_row] {
-            return mpc::bcast(hg.group_col_comm(), b_group_row, panel.buf(),
-                              args.bcast_algo);
-          },
-          std::move(before));
-    }
-
-    int prev_ia = -1;
-    int prev_ib = -1;
-    for (index_t w = 0; w < inner_steps; ++w) {
-      const index_t g = s * inner_steps + w;
-      const int islot = static_cast<int>(g % inner_slots);
-      const index_t offset = w * b;
-      const desim::RegionId ai_region =
-          desim::region_id("hsumma.ai", static_cast<std::uint64_t>(islot));
-      const desim::RegionId bi_region =
-          desim::region_id("hsumma.bi", static_cast<std::uint64_t>(islot));
-      // D <= 1 pipeline-coupling: first inner pair waits for the outer
-      // phase and the previous big step's last update (the legacy code
-      // never forked across those boundaries); pair w waits for pair w-1.
-      std::vector<int> coupling;
-      if (D <= 1) {
-        if (w == 0) {
-          if (oa_id >= 0) coupling.push_back(oa_id);
-          if (ob_id >= 0) coupling.push_back(ob_id);
-          if (last_compute >= 0) coupling.push_back(last_compute);
-        } else {
-          coupling = {prev_ia, prev_ib};
-        }
-      }
-
-      desim::TaskSpec ia_spec;
-      ia_spec.kind = desim::TaskKind::Comm;
-      ia_spec.phase = kPhaseInner;
-      ia_spec.channel = hg.row_comm().context();
-      ia_spec.step = g;
-      ia_spec.label = "bcast A";
-      ia_spec.wait_group = D >= 1 ? static_cast<int>(g) : -1;
-      ia_spec.in = {ao_region};
-      ia_spec.out = {ai_region};
-      take_marks(ia_spec, static_cast<long long>(g));
-      ia_spec.after = coupling;
-      desim::TaskGraph::Hook ia_before;
-      if (mode == PayloadMode::Real && hg.local_col() == a_local_col)
-        ia_before = [&panel = a_inners[static_cast<std::size_t>(islot)],
-                     &outer_panel = a_outers[static_cast<std::size_t>(oslot)],
-                     offset, local_m, b] {
-          panel.view().copy_from(
-              outer_panel.view().block(0, offset, local_m, b));
-        };
-      const int ia_id = graph.add(
-          std::move(ia_spec),
-          [&hg, &args, &panel = a_inners[static_cast<std::size_t>(islot)],
-           a_local_col] {
-            return mpc::bcast(hg.row_comm(), a_local_col, panel.buf(),
-                              args.bcast_algo);
-          },
-          std::move(ia_before));
-
-      desim::TaskSpec ib_spec;
-      ib_spec.kind = desim::TaskKind::Comm;
-      ib_spec.phase = kPhaseInner;
-      ib_spec.channel = hg.col_comm().context();
-      ib_spec.step = g;
-      ib_spec.label = "bcast B";
-      ib_spec.wait_group = D >= 1 ? static_cast<int>(g) : -1;
-      ib_spec.in = {bo_region};
-      ib_spec.out = {bi_region};
-      ib_spec.after = coupling;
-      desim::TaskGraph::Hook ib_before;
-      if (mode == PayloadMode::Real && hg.local_row() == b_local_row)
-        ib_before = [&panel = b_inners[static_cast<std::size_t>(islot)],
-                     &outer_panel = b_outers[static_cast<std::size_t>(oslot)],
-                     offset, b, local_n] {
-          panel.view().copy_from(
-              outer_panel.view().block(offset, 0, b, local_n));
-        };
-      const int ib_id = graph.add(
-          std::move(ib_spec),
-          [&hg, &args, &panel = b_inners[static_cast<std::size_t>(islot)],
-           b_local_row] {
-            return mpc::bcast(hg.col_comm(), b_local_row, panel.buf(),
-                              args.bcast_algo);
-          },
-          std::move(ib_before));
-
-      desim::TaskSpec c_spec;
-      c_spec.kind = desim::TaskKind::Compute;
-      c_spec.phase = kPhaseInner;
-      c_spec.step = g;
-      c_spec.label = "rank-b update";
-      // Reading the outer slots is what strands the next outer broadcast
-      // behind this big step's updates (write-after-read on the slot ring).
-      c_spec.in = {ai_region, bi_region, ao_region, bo_region};
-      const double flops = la::gemm_flops(local_m, local_n, b);
-      last_compute = graph.add(
-          std::move(c_spec),
-          [&machine, self, flops, tracer = args.tracer] {
-            return compute_charge(machine, self, flops, tracer);
-          },
-          {},
-          [mode, &args, &stats, flops,
-           &a_panel = a_inners[static_cast<std::size_t>(islot)],
-           &b_panel = b_inners[static_cast<std::size_t>(islot)]] {
-            if (mode == PayloadMode::Real)
-              la::gemm(a_panel.view(), b_panel.view(), args.local->c.view());
-            stats.flops += static_cast<std::uint64_t>(flops);
-          });
-      prev_ia = ia_id;
-      prev_ib = ib_id;
-    }
-  }
-
-  PlanObserver observer(engine, stats, args.tracer);
-  co_await desim::run_task_graph(engine, graph, D, &observer);
-  observer.flush();
-}
-
-// ---------------------------------------------------------------------------
-// Multi-level HSUMMA
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Static trace labels per chain level (TaskSpec::label must outlive the
-/// graph). Depths past the table collapse onto the last entry.
-const char* stage_label(bool is_a, int level) {
-  static constexpr const char* kA[] = {"bcast A L0", "bcast A L1",
-                                       "bcast A L2", "bcast A L3",
-                                       "bcast A L4", "bcast A L5",
-                                       "bcast A L6", "bcast A L7+"};
-  static constexpr const char* kB[] = {"bcast B L0", "bcast B L1",
-                                       "bcast B L2", "bcast B L3",
-                                       "bcast B L4", "bcast B L5",
-                                       "bcast B L6", "bcast B L7+"};
-  const int i = std::min(level, 7);
-  return is_a ? kA[i] : kB[i];
-}
-
-}  // namespace
-
-desim::Task<void> hsumma_multilevel_task_plan(HsummaMultilevelArgs args) {
-  check_summa_divisibility(args.shape, args.problem);
-  const grid::ProcessGrid pg(args.comm, args.shape);
-  mpc::Machine& machine = args.comm.machine();
-  const int self = args.comm.my_world_rank();
-  desim::Engine& engine = machine.engine();
-
-  const ProblemSpec& prob = args.problem;
-  const index_t b = prob.block;
-  const index_t local_m = prob.m / pg.rows();
-  const index_t local_n = prob.n / pg.cols();
-  const index_t local_k_a = prob.k / pg.cols();
-  const index_t local_k_b = prob.k / pg.rows();
-  const PayloadMode mode =
-      args.local == nullptr ? PayloadMode::Phantom : PayloadMode::Real;
-  const bool split_levels =
-      !args.row_levels.empty() || !args.col_levels.empty();
-
-  trace::RankStats scratch_stats;
-  trace::RankStats& stats = args.stats ? *args.stats : scratch_stats;
-
-  const index_t steps = prob.k / b;
-  const int D = args.lookahead;
-  const int slots = D + 1;
-  std::vector<PanelBuffer> a_panels;
-  std::vector<PanelBuffer> b_panels;
-  a_panels.reserve(static_cast<std::size_t>(slots));
-  b_panels.reserve(static_cast<std::size_t>(slots));
-  for (int s = 0; s < slots; ++s) {
-    a_panels.emplace_back(local_m, b, mode);
-    b_panels.emplace_back(b, local_n, mode);
-  }
-
-  desim::TaskGraph graph;
-  std::vector<int> prev_comm;  // previous step's comm ids (D<=1 coupling)
-  for (index_t q = 0; q < steps; ++q) {
-    const int slot = static_cast<int>(q % slots);
-    const index_t pivot = q * b;
-    const int a_root = static_cast<int>(pivot / local_k_a);
-    const int b_root = static_cast<int>(pivot / local_k_b);
-    const desim::RegionId a_region =
-        desim::region_id("ml.a", static_cast<std::uint64_t>(slot));
-    const desim::RegionId b_region =
-        desim::region_id("ml.b", static_cast<std::uint64_t>(slot));
-
-    std::vector<int> step_comm;
-    bool mark_pending = true;  // step mark rides this rank's first task
-    const auto take_mark = [&](desim::TaskSpec& spec) {
-      if (mark_pending)
-        spec.marks.push_back({static_cast<long long>(q), kPhaseFlat});
-      mark_pending = false;
-    };
-
-    // Every broadcast phase of this step becomes its own comm task writing
-    // the panel's slot region: the WAW chain keeps phases of one panel in
-    // order, the slot ring's write-after-read edge (the compute of step
-    // q - D reads the region) caps prefetch depth exactly like flat SUMMA.
-    // Fused wait groups are per (step, level) for real chains so D >= 1
-    // runs still report a per-level wait split; flat chains keep the
-    // legacy one-group-per-step fusion bit-for-bit.
-    const auto add_stage = [&](const BcastStage& stage, bool is_a,
-                               desim::TaskGraph::Hook before) {
-      desim::TaskSpec spec;
-      spec.kind = desim::TaskKind::Comm;
-      spec.phase =
-          split_levels ? kPhaseLevelBase + stage.level : kPhaseFlat;
-      spec.channel = stage.comm.context();
-      spec.step = q;
-      spec.label = stage_label(is_a, stage.level);
-      if (!split_levels) spec.label = is_a ? "bcast A" : "bcast B";
-      spec.wait_group =
-          D >= 1 ? static_cast<int>(split_levels ? q * 16 + stage.level : q)
-                 : -1;
-      spec.out = {is_a ? a_region : b_region};
-      take_mark(spec);
-      if (D <= 1) spec.after = prev_comm;
-      PanelBuffer& panel = is_a ? a_panels[static_cast<std::size_t>(slot)]
-                                : b_panels[static_cast<std::size_t>(slot)];
-      const int id = graph.add(
-          std::move(spec),
-          [stage, &panel, &args] {
-            return mpc::bcast(stage.comm, stage.root, panel.buf(),
-                              args.bcast_algo);
-          },
-          std::move(before));
-      step_comm.push_back(id);
-    };
-
-    desim::TaskGraph::Hook a_copy;
-    if (mode == PayloadMode::Real && pg.my_col() == a_root)
-      a_copy = [&args, &panel = a_panels[static_cast<std::size_t>(slot)],
-                pivot, a_root, local_m, b, local_k_a] {
-        const index_t col0 = pivot - static_cast<index_t>(a_root) * local_k_a;
-        panel.view().copy_from(args.local->a.block(0, col0, local_m, b));
-      };
-    desim::TaskGraph::Hook b_copy;
-    if (mode == PayloadMode::Real && pg.my_row() == b_root)
-      b_copy = [&args, &panel = b_panels[static_cast<std::size_t>(slot)],
-                pivot, b_root, b, local_n, local_k_b] {
-        const index_t row0 = pivot - static_cast<index_t>(b_root) * local_k_b;
-        panel.view().copy_from(args.local->b.block(row0, 0, b, local_n));
-      };
-
-    const std::vector<BcastStage> a_stages =
-        hier_bcast_stages(pg.row_comm(), a_root, args.row_levels);
-    for (std::size_t i = 0; i < a_stages.size(); ++i)
-      add_stage(a_stages[i], /*is_a=*/true,
-                i == 0 ? std::move(a_copy) : desim::TaskGraph::Hook{});
-    const std::vector<BcastStage> b_stages =
-        hier_bcast_stages(pg.col_comm(), b_root, args.col_levels);
-    for (std::size_t i = 0; i < b_stages.size(); ++i)
-      add_stage(b_stages[i], /*is_a=*/false,
-                i == 0 ? std::move(b_copy) : desim::TaskGraph::Hook{});
-
-    desim::TaskSpec c_spec;
-    c_spec.kind = desim::TaskKind::Compute;
-    c_spec.phase = kPhaseFlat;
-    c_spec.step = q;
-    c_spec.label = "rank-b update";
-    c_spec.in = {a_region, b_region};
-    take_mark(c_spec);
-    const double flops = la::gemm_flops(local_m, local_n, b);
-    // Size-1 comms have no broadcast stage (hier_bcast's p == 1 early out),
-    // so a root copy that found no comm task to ride runs here instead.
-    desim::TaskGraph::Hook c_before;
-    if (a_stages.empty() && a_copy) c_before = std::move(a_copy);
-    if (b_stages.empty() && b_copy) {
-      if (c_before)
-        c_before = [first = std::move(c_before), second = std::move(b_copy)] {
-          first();
-          second();
-        };
-      else
-        c_before = std::move(b_copy);
-    }
-    graph.add(
-        std::move(c_spec),
-        [&machine, self, flops, tracer = args.tracer] {
-          return compute_charge(machine, self, flops, tracer);
-        },
-        std::move(c_before),
-        [mode, &args, &stats, flops,
-         &a_panel = a_panels[static_cast<std::size_t>(slot)],
-         &b_panel = b_panels[static_cast<std::size_t>(slot)]] {
-          if (mode == PayloadMode::Real)
-            la::gemm(a_panel.view(), b_panel.view(), args.local->c.view());
-          stats.flops += static_cast<std::uint64_t>(flops);
-        });
-    prev_comm = std::move(step_comm);
-  }
-
-  PlanObserver observer(engine, stats, args.tracer);
-  co_await desim::run_task_graph(engine, graph, D, &observer);
-  observer.flush();
 }
 
 // ---------------------------------------------------------------------------

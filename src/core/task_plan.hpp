@@ -1,4 +1,4 @@
-// Task-plan lowerings: each kernel's per-rank program expressed as a
+// Task-plan lowerings: a kernel's per-rank program expressed as a
 // desim::TaskGraph instead of a hand-written loop.
 //
 // The plan is the kernel's step structure made explicit: every broadcast /
@@ -7,33 +7,34 @@
 // them. The look-ahead depth D controls the *plan*, not the scheduler:
 //
 //   D = 0  — one buffer slot per panel; the graph is executed inline in
-//            program order, reproducing the classic blocking loop
-//            bit-identically (locked by tests/core/test_taskplan_goldens.cpp
-//            against goldens captured from the pre-task-runtime kernels).
+//            program order, reproducing the blocking loop bit-identically
+//            (locked by tests/core/test_taskplan_goldens.cpp).
 //   D = 1  — two slots plus pipeline-coupling edges that pin the fork
-//            points to the instants the old hand-rolled double-buffered
-//            `overlap` branches used, reproducing them bit-identically
-//            (same golden file). The legacy branches are deleted.
+//            points to the instants of the old hand-rolled double-buffered
+//            pipelines, reproducing them bit-identically (same golden file).
 //   D >= 2 — D+1 slots and no coupling edges: the scheduler is free to run
 //            communication as far ahead as the slot ring's write-after-read
-//            edges allow. This is what the double buffer could not express:
-//            HSUMMA prefetches up to D outer panels across big-step
-//            boundaries, Cannon overlaps rotations with multiplies, and LU
-//            factors panel k+1 while trailing update k streams (the update
-//            is split into the next pivot column strip, which unblocks the
-//            factor, and the remainder).
+//            edges allow. HSUMMA prefetches up to D outer panels across
+//            big-step boundaries, Cannon overlaps rotations with multiplies,
+//            and LU factors panel k+1 while trailing update k streams (the
+//            update is split into the next pivot column strip, which
+//            unblocks the factor, and the remainder).
 //
-// The kernels keep their blocking loops for the production D = 0 path (a
-// graph materializes O(steps) task records per rank — fine for any D >= 1
-// window, wasteful for a million-rank blocking run); *_task_plan with
-// lookahead 0 exists so tests can drive the inline scheduler directly.
+// The SUMMA family (SUMMA, HSUMMA, multilevel HSUMMA and the block-cyclic
+// variants) is one step schedule with two consumers, both in
+// core/summa_family.cpp: a blocking loop for D = 0 and a task-plan lowering
+// for D >= 1. The blocking consumer stays because a plan materializes every
+// step's task records per rank up front: at fig8's point (p = 4096,
+// n = 65536, b = 256, closed form) the D = 0 plan gave the same virtual
+// time, messages and events as the loop but took 5.5 s CPU / 1,380 MB for
+// SUMMA and 6.5 s / 1,606 MB for HSUMMA (G = 64), against 0.39 s / 15.5 MB
+// and 0.73 s / 18.3 MB. The lowerings here (Cannon, LU) keep their own
+// blocking loops for the same reason; *_task_plan with lookahead 0 exists
+// so tests can drive the inline scheduler directly.
 #pragma once
 
 #include "core/cannon.hpp"
-#include "core/hier_bcast.hpp"
-#include "core/hsumma.hpp"
 #include "core/lu.hpp"
-#include "core/summa.hpp"
 #include "desim/taskgraph.hpp"
 
 namespace hs::core {
@@ -84,12 +85,35 @@ class PlanObserver final : public desim::TaskObserver {
   double pending_end_ = 0.0;
 };
 
+/// Charges `seconds` of communication in `phase` to `stats`: comm_time
+/// always; kPhaseOuter/kPhaseInner to the outer/inner split; chain levels
+/// to level_comm_time plus that split (level 0 outer, deeper inner). The
+/// one attribution rule shared by PlanObserver and the blocking loops.
+inline void charge_comm(trace::RankStats& stats, int phase, double seconds) {
+  stats.comm_time += seconds;
+  if (phase == kPhaseOuter) {
+    stats.outer_comm_time += seconds;
+  } else if (phase == kPhaseInner) {
+    stats.inner_comm_time += seconds;
+  } else if (phase >= kPhaseLevelBase) {
+    const auto level = static_cast<std::size_t>(phase - kPhaseLevelBase);
+    if (stats.level_comm_time.size() <= level)
+      stats.level_comm_time.resize(level + 1);
+    stats.level_comm_time[level] += seconds;
+    if (level == 0)
+      stats.outer_comm_time += seconds;
+    else
+      stats.inner_comm_time += seconds;
+  }
+}
+
+/// One Machine::compute charge wrapped in the kernels' usual trace span.
+desim::Task<void> compute_charge(mpc::Machine& machine, int self, double flops,
+                                 trace::RankTracer tracer);
+
 /// The per-rank task-plan programs. args.lookahead selects the plan depth
-/// as described above; the kernel entry points (summa_rank, ...) delegate
-/// here whenever args.lookahead >= 1.
-desim::Task<void> summa_task_plan(SummaArgs args);
-desim::Task<void> hsumma_task_plan(HsummaArgs args);
-desim::Task<void> hsumma_multilevel_task_plan(HsummaMultilevelArgs args);
+/// as described above; cannon_rank and lu_rank delegate here whenever
+/// args.lookahead >= 1.
 desim::Task<void> cannon_task_plan(CannonArgs args);
 desim::Task<void> lu_task_plan(LuArgs args);
 

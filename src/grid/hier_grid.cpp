@@ -45,54 +45,4 @@ std::vector<int> valid_group_counts(GridShape grid) {
   return counts;
 }
 
-HierGrid::HierGrid(mpc::Comm comm, GridShape grid_shape,
-                   GridShape groups_shape)
-    : flat_(comm, grid_shape), groups_(groups_shape) {
-  HS_REQUIRE_MSG(groups_.rows >= 1 && groups_.cols >= 1 &&
-                     grid_shape.rows % groups_.rows == 0 &&
-                     grid_shape.cols % groups_.cols == 0,
-                 "group arrangement " << groups_.rows << "x" << groups_.cols
-                                      << " does not divide grid "
-                                      << grid_shape.rows << "x"
-                                      << grid_shape.cols);
-  const GridShape local = local_shape();
-  const int gx = group_row();
-  const int gy = group_col();
-  const int li = local_row();
-  const int lj = local_col();
-
-  std::vector<int> members;
-
-  // P(x,*)(i,j): same group row and local position, ordered by group col.
-  members.reserve(static_cast<std::size_t>(groups_.cols));
-  for (int z = 0; z < groups_.cols; ++z)
-    members.push_back(
-        flat_.rank_at(gx * local.rows + li, z * local.cols + lj));
-  group_row_comm_ = comm.sub(members);
-
-  // P(*,y)(i,j): same group col and local position, ordered by group row.
-  members.clear();
-  members.reserve(static_cast<std::size_t>(groups_.rows));
-  for (int x = 0; x < groups_.rows; ++x)
-    members.push_back(
-        flat_.rank_at(x * local.rows + li, gy * local.cols + lj));
-  group_col_comm_ = comm.sub(members);
-
-  // P(x,y)(i,*): my row inside my group, ordered by local column.
-  members.clear();
-  members.reserve(static_cast<std::size_t>(local.cols));
-  for (int jj = 0; jj < local.cols; ++jj)
-    members.push_back(
-        flat_.rank_at(gx * local.rows + li, gy * local.cols + jj));
-  row_comm_ = comm.sub(members);
-
-  // P(x,y)(*,j): my column inside my group, ordered by local row.
-  members.clear();
-  members.reserve(static_cast<std::size_t>(local.rows));
-  for (int ii = 0; ii < local.rows; ++ii)
-    members.push_back(
-        flat_.rank_at(gx * local.rows + ii, gy * local.cols + lj));
-  col_comm_ = comm.sub(members);
-}
-
 }  // namespace hs::grid

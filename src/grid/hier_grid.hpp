@@ -1,21 +1,21 @@
 // Two-level hierarchical process grid — the paper's structural contribution.
 //
 // HSUMMA partitions the s x t grid into an I x J arrangement of rectangular
-// groups, each holding an (s/I) x (t/J) sub-grid. This class derives, for
-// the calling process P(x,y)(i,j), the four communicators of the paper's
-// Algorithm 1:
+// groups, each holding an (s/I) x (t/J) sub-grid. For the calling process
+// P(x,y)(i,j) the paper's Algorithm 1 uses four communicators:
 //
-//   group_row_comm — P(x,*)(i,j): my group row, same local position; carries
-//                    the *inter-group* horizontal broadcast of A's pivot
-//                    column (size J).
-//   group_col_comm — P(*,y)(i,j): my group column, same local position;
-//                    carries the inter-group vertical broadcast of B's pivot
-//                    row (size I).
-//   row_comm       — P(x,y)(i,*): my row inside the group (size t/J).
-//   col_comm       — P(x,y)(*,j): my column inside the group (size s/I).
+//   P(x,*)(i,j) — my group row, same local position: the *inter-group*
+//                 horizontal broadcast of A's pivot column (size J);
+//   P(*,y)(i,j) — my group column, same local position: the inter-group
+//                 vertical broadcast of B's pivot row (size I);
+//   P(x,y)(i,*) — my row inside the group (size t/J);
+//   P(x,y)(*,j) — my column inside the group (size s/I).
 //
-// With G = 1 or G = p the hierarchy degenerates and HSUMMA over this grid
-// is exactly SUMMA, as the paper notes.
+// They are the chains {J} along grid rows and {I} along grid columns of
+// core::BcastChain, which the SUMMA family builds once per rank. This
+// header picks the I x J arrangement for a group count G. With G = 1 or
+// G = p the hierarchy degenerates and HSUMMA is exactly SUMMA, as the paper
+// notes.
 #pragma once
 
 #include <vector>
@@ -31,40 +31,5 @@ GridShape group_arrangement(GridShape grid, int groups);
 
 /// All group counts G for which group_arrangement finds a valid I x J.
 std::vector<int> valid_group_counts(GridShape grid);
-
-class HierGrid {
- public:
-  /// `grid_shape` = s x t over comm; `groups_shape` = I x J with I | s and
-  /// J | t.
-  HierGrid(mpc::Comm comm, GridShape grid_shape, GridShape groups_shape);
-
-  const ProcessGrid& flat() const noexcept { return flat_; }
-  GridShape groups_shape() const noexcept { return groups_; }
-  int groups() const noexcept { return groups_.size(); }
-
-  /// Sub-grid dimensions inside each group.
-  GridShape local_shape() const noexcept {
-    return {flat_.rows() / groups_.rows, flat_.cols() / groups_.cols};
-  }
-
-  /// My group coordinates (x, y) and local coordinates (i, j).
-  int group_row() const noexcept { return flat_.my_row() / local_shape().rows; }
-  int group_col() const noexcept { return flat_.my_col() / local_shape().cols; }
-  int local_row() const noexcept { return flat_.my_row() % local_shape().rows; }
-  int local_col() const noexcept { return flat_.my_col() % local_shape().cols; }
-
-  const mpc::Comm& group_row_comm() const noexcept { return group_row_comm_; }
-  const mpc::Comm& group_col_comm() const noexcept { return group_col_comm_; }
-  const mpc::Comm& row_comm() const noexcept { return row_comm_; }
-  const mpc::Comm& col_comm() const noexcept { return col_comm_; }
-
- private:
-  ProcessGrid flat_;
-  GridShape groups_;
-  mpc::Comm group_row_comm_;
-  mpc::Comm group_col_comm_;
-  mpc::Comm row_comm_;
-  mpc::Comm col_comm_;
-};
 
 }  // namespace hs::grid

@@ -76,14 +76,11 @@ TuneResult tune_groups(const TuneOptions& options) {
       core::kernel_descriptor(options.kernel);
   for (int depth : depths) {
     HS_REQUIRE_MSG(depth >= 0, "lookahead must be >= 0");
-    if (depth >= 1)
-      HS_REQUIRE_MSG(
-          descriptor.overlap_support != core::OverlapSupport::None &&
-              (descriptor.overlap_support == core::OverlapSupport::TaskPlan ||
-               depth <= 1),
-          "kernel '" << descriptor.name << "' cannot run lookahead depth "
-                     << depth << "; task-plan kernels: "
-                     << core::overlap_kernel_name_list());
+    HS_REQUIRE_MSG(
+        depth == 0 || descriptor.overlap_support != core::OverlapSupport::None,
+        "kernel '" << descriptor.name << "' cannot run lookahead depth "
+                   << depth << "; task-plan kernels: "
+                   << core::overlap_kernel_name_list());
   }
 
   // Factorization kernels keep the full problem: their panel steps shrink

@@ -1,12 +1,11 @@
 // Block-cyclic SUMMA / HSUMMA — the paper's primary declared future work.
-#include "core/cyclic.hpp"
-
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <tuple>
 
 #include "core/runner.hpp"
+#include "trace/recorder.hpp"
 
 namespace {
 
@@ -39,6 +38,19 @@ TEST_P(CyclicSummaTest, MatchesReference) {
   EXPECT_LT(run_once(options).max_error, 1e-12)
       << shape.rows << "x" << shape.cols << " b=" << block
       << " overlap=" << overlap;
+}
+
+// The same matrix at look-ahead 2 (prefetch across steps on the task plan).
+TEST_P(CyclicSummaTest, MatchesReferenceAtLookaheadTwo) {
+  const auto [shape, block, overlap] = GetParam();
+  RunOptions options;
+  options.algorithm = Algorithm::SummaCyclic;
+  options.grid = shape;
+  options.problem = ProblemSpec::square(96, block);
+  options.lookahead = 2;
+  options.verify = true;
+  EXPECT_LT(run_once(options).max_error, 1e-12)
+      << shape.rows << "x" << shape.cols << " b=" << block;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -87,6 +99,23 @@ TEST_P(CyclicHsummaTest, MatchesReference) {
   options.problem = ProblemSpec::square(96, block);
   options.problem.outer_block = outer;
   options.overlap = overlap;
+  options.verify = true;
+  EXPECT_LT(run_once(options).max_error, 1e-12)
+      << shape.rows << "x" << shape.cols << " groups " << groups.rows << "x"
+      << groups.cols << " b=" << block << " B=" << outer;
+}
+
+// The same matrix at look-ahead 2 (outer panels prefetched across big
+// steps on the task plan).
+TEST_P(CyclicHsummaTest, MatchesReferenceAtLookaheadTwo) {
+  const auto [shape, groups, block, outer, overlap] = GetParam();
+  RunOptions options;
+  options.algorithm = Algorithm::HsummaCyclic;
+  options.grid = shape;
+  options.groups = groups;
+  options.problem = ProblemSpec::square(96, block);
+  options.problem.outer_block = outer;
+  options.lookahead = 2;
   options.verify = true;
   EXPECT_LT(run_once(options).max_error, 1e-12)
       << shape.rows << "x" << shape.cols << " groups " << groups.rows << "x"
@@ -156,6 +185,30 @@ TEST(CyclicHsumma, RequiresAlignedOuterBlock) {
   options.problem.block = 9;         // 96 % 36 != 0 -> k not aligned either
   options.problem.outer_block = 36;
   EXPECT_THROW(run_once(options), hs::PreconditionError);
+}
+
+TEST(CyclicHsumma, AttributesOuterInnerCommAndTracesComputes) {
+  // The block-cyclic HSUMMA runs the SUMMA family's schedule, so it reports
+  // the inter-group (outer) and intra-group (inner) split like HSUMMA, and
+  // a traced run carries step marks and compute spans.
+  RunOptions options;
+  options.algorithm = Algorithm::HsummaCyclic;
+  options.grid = {4, 4};
+  options.groups = {2, 2};
+  options.problem = ProblemSpec::square(128, 8, 16);
+  options.mode = PayloadMode::Phantom;
+  options.lookahead = 0;
+  const auto untraced = run_once(options);
+  EXPECT_GT(untraced.timing.max_outer_comm_time, 0.0);
+  EXPECT_GT(untraced.timing.max_inner_comm_time, 0.0);
+
+  hs::trace::Recorder recorder;
+  options.recorder = &recorder;
+  const auto traced = run_once(options);
+  EXPECT_EQ(traced.timing.total_time, untraced.timing.total_time);
+  // 16 ranks x k/b = 16 rank-b updates each.
+  EXPECT_EQ(recorder.computes().size(), 16u * 16u);
+  EXPECT_FALSE(recorder.steps().empty());
 }
 
 TEST(CyclicNames, RoundTrip) {

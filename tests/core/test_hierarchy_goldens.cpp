@@ -1,9 +1,8 @@
 // Multi-level hierarchy bit-equivalence goldens: `--lookahead D` composes
 // with L-level chains.
 //
-//   * D = 0 through hsumma_multilevel_task_plan replays the blocking
-//     multilevel kernel bit-identically at every L (inline execution in
-//     program order);
+//   * D = 0 through the SUMMA family's task plan replays its blocking loop
+//     bit-identically at every L (inline execution in program order);
 //   * a flat chain through the multilevel kernel is bit-identical to plain
 //     SUMMA at D = 0, 1 and 2 — the chain machinery adds nothing when
 //     there is nothing to split;
@@ -22,9 +21,8 @@
 #include <string>
 #include <vector>
 
-#include "core/hier_bcast.hpp"
+#include "core/kernel_registry.hpp"
 #include "core/runner.hpp"
-#include "core/task_plan.hpp"
 #include "net/model.hpp"
 
 namespace {
@@ -187,8 +185,8 @@ std::unique_ptr<hs::mpc::Machine> make_machine(hs::desim::Engine& engine,
       hs::mpc::MachineConfig{.ranks = ranks, .gamma_flop = 5e-8});
 }
 
-/// cfg through the production entry point (D = 0 keeps the blocking loop,
-/// D >= 1 delegates to hsumma_multilevel_task_plan).
+/// cfg through the production entry point (D = 0 runs the blocking loop,
+/// D >= 1 the task plan).
 Golden run_kernel(const Cfg& cfg, int lookahead) {
   hs::desim::Engine engine;
   auto machine = make_machine(engine, cfg.options.grid.size());
@@ -197,20 +195,20 @@ Golden run_kernel(const Cfg& cfg, int lookahead) {
   return to_golden(hs::core::run(*machine, options));
 }
 
-/// cfg through hsumma_multilevel_task_plan directly — the only way to
+/// cfg through the SUMMA family's task plan directly — the only way to
 /// reach the task graph at D = 0.
 Golden run_task_plan(const Cfg& cfg, int lookahead) {
   hs::desim::Engine engine;
   const int ranks = cfg.options.grid.size();
   auto machine = make_machine(engine, ranks);
   std::vector<hs::trace::RankStats> stats(static_cast<std::size_t>(ranks));
+  RunOptions options = cfg.options;
+  options.lookahead = lookahead;
   for (int rank = 0; rank < ranks; ++rank) {
     engine.spawn_indexed(
-        hs::core::hsumma_multilevel_task_plan(
-            {machine->world(rank), cfg.options.grid, cfg.options.problem,
-             cfg.options.row_levels, cfg.options.col_levels, nullptr,
-             &stats[static_cast<std::size_t>(rank)], cfg.options.bcast_algo,
-             lookahead, {}}),
+        hs::core::summa_family_plan(hs::core::summa_family_args(
+            options, machine->world(rank), nullptr,
+            &stats[static_cast<std::size_t>(rank)])),
         "taskplan", rank);
   }
   engine.run();

@@ -1,4 +1,4 @@
-#include "core/hsumma.hpp"
+#include "core/summa_family.hpp"
 
 #include <gtest/gtest.h>
 

@@ -188,16 +188,4 @@ TEST(Overlap, UnsupportingKernelFailsListingSupportingOnes) {
   }
 }
 
-TEST(Overlap, DoubleBufferKernelsCapTheDepthAtOne) {
-  RunOptions options;
-  options.algorithm = Algorithm::SummaCyclic;
-  options.grid = {4, 4};
-  options.problem = ProblemSpec::square(256, 16);
-  options.mode = PayloadMode::Phantom;
-  options.lookahead = 1;  // fine: the hand-rolled double buffer
-  EXPECT_GT(run_once(options, 1e-9).timing.total_time, 0.0);
-  options.lookahead = 2;  // needs a task plan the cyclic kernels lack
-  EXPECT_THROW(run_once(options, 1e-9), hs::PreconditionError);
-}
-
 }  // namespace

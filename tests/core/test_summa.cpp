@@ -1,4 +1,4 @@
-#include "core/summa.hpp"
+#include "core/summa_family.hpp"
 
 #include <gtest/gtest.h>
 

@@ -2,17 +2,19 @@
 //
 // The numbers below were captured from the kernels BEFORE the task runtime
 // landed: the ":blk" rows from the classic blocking loops, the ":ovl" rows
-// from the hand-rolled double-buffered `overlap` branches that this change
-// deleted. They are unreproducible from source now, which is the point —
-// the task-plan lowering must keep producing them:
+// from the hand-rolled double-buffered `overlap` branches that were later
+// deleted (the block-cyclic rows from the double-buffered cyclic kernels,
+// captured just before the SUMMA family became one schedule). They are
+// unreproducible from source now, which is the point — today's code must
+// keep producing them:
 //
-//   * lookahead = 0 through core::run exercises the blocking loops the
-//     kernels kept (guards the tracer instrumentation added to them);
-//   * *_task_plan driven directly at D = 0 must replay the blocking
+//   * lookahead = 0 through core::run exercises the blocking loops (the
+//     SUMMA family's blocking consumer, Cannon's and LU's loops);
+//   * the task plans driven directly at D = 0 must replay the blocking
 //     schedule bit-identically (inline execution in program order);
-//   * lookahead = 1 through core::run (which delegates to the task plan)
-//     must replay the deleted double-buffered pipelines bit-identically —
-//     the pipeline-coupling edges pin every fork to the old instants.
+//   * lookahead = 1 through core::run (which runs the task plan) must
+//     replay the deleted double-buffered pipelines bit-identically — the
+//     pipeline-coupling edges pin every fork to the old instants.
 //
 // "Bit-identical" is literal: virtual times compare with EXPECT_EQ on the
 // doubles, and message/wire-byte counters exactly.
@@ -24,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "core/kernel_registry.hpp"
 #include "core/runner.hpp"
 #include "core/task_plan.hpp"
 #include "net/model.hpp"
@@ -52,9 +55,6 @@ struct Cfg {
   CollectiveMode collective_mode = CollectiveMode::ClosedForm;
   double gamma = 5e-8;
   bool has_overlap_golden = true;  // cannon/lu predate overlap support
-  /// The double-buffered cyclic kernels have no task plan: no inline D=0
-  /// graph and no depth beyond 1.
-  bool double_buffer_only = false;
   /// Whether the golden's outer/inner comm split is pinned. hsumma-cyclic
   /// never filled it, so its rows pin total, comm, comp and counters only.
   bool pins_phase_split = true;
@@ -314,12 +314,8 @@ std::vector<Cfg> configs() {
       CF, 5e-8, {2, 1});
   add("hsumma-cyclic:rag21:pp:g5e-8", Algorithm::HsummaCyclic, {2, 5}, HRAG,
       PP, 5e-8, {2, 1});
-  for (Cfg& c : cfgs) {
-    const bool cyclic = c.options.algorithm == Algorithm::SummaCyclic ||
-                        c.options.algorithm == Algorithm::HsummaCyclic;
-    c.double_buffer_only = cyclic;
+  for (Cfg& c : cfgs)
     c.pins_phase_split = c.options.algorithm != Algorithm::HsummaCyclic;
-  }
   return cfgs;
 }
 
@@ -363,8 +359,8 @@ Golden run_kernel(const Cfg& cfg, int lookahead) {
   return to_golden(hs::core::run(*machine, options));
 }
 
-/// cfg through *_task_plan directly — the only way to reach the task graph
-/// at D = 0, where the production kernels keep their blocking loops.
+/// cfg through a task plan directly — the only way to reach the task graph
+/// at D = 0, where the production kernels run their blocking loops.
 Golden run_task_plan(const Cfg& cfg, int lookahead) {
   hs::desim::Engine engine;
   auto machine = make_machine(engine, cfg);
@@ -373,21 +369,19 @@ Golden run_task_plan(const Cfg& cfg, int lookahead) {
   const double start_time = engine.now();
   const std::uint64_t start_messages = machine->messages_transferred();
   const std::uint64_t start_bytes = machine->bytes_transferred();
+  RunOptions options = cfg.options;
+  options.lookahead = lookahead;
   for (int rank = 0; rank < ranks; ++rank) {
     hs::trace::RankStats* rank_stats =
         &stats[static_cast<std::size_t>(rank)];
     hs::desim::Task<void> program;
     switch (cfg.options.algorithm) {
       case Algorithm::Summa:
-        program = hs::core::summa_task_plan(
-            {machine->world(rank), cfg.options.grid, cfg.options.problem,
-             nullptr, rank_stats, cfg.options.bcast_algo, lookahead, {}});
-        break;
       case Algorithm::Hsumma:
-        program = hs::core::hsumma_task_plan(
-            {machine->world(rank), cfg.options.grid, cfg.options.groups,
-             cfg.options.problem, nullptr, rank_stats, cfg.options.bcast_algo,
-             lookahead, {}});
+      case Algorithm::SummaCyclic:
+      case Algorithm::HsummaCyclic:
+        program = hs::core::summa_family_plan(hs::core::summa_family_args(
+            options, machine->world(rank), nullptr, rank_stats));
         break;
       case Algorithm::Cannon:
         program = hs::core::cannon_task_plan(
@@ -423,9 +417,8 @@ Golden run_task_plan(const Cfg& cfg, int lookahead) {
   return to_golden(result);
 }
 
-// The blocking loops kept in the kernels (the production D = 0 path) still
-// produce the pre-task-runtime numbers — the tracer instrumentation and
-// delegation check added to them perturbed nothing.
+// The blocking loops (the production D = 0 path) still produce the
+// pre-task-runtime numbers.
 TEST(TaskPlanGoldens, LegacyBlockingUnchanged) {
   for (const Cfg& cfg : configs())
     expect_eq(golden(cfg.name + ":blk"), run_kernel(cfg, 0),
@@ -433,13 +426,12 @@ TEST(TaskPlanGoldens, LegacyBlockingUnchanged) {
 }
 
 // D = 0 runs the graph inline in program order: bit-identical to the
-// blocking loop for every kernel, collective mode, and grid shape.
+// blocking loop for every kernel, collective mode, and grid shape — the
+// proof that the SUMMA family's two consumers agree.
 TEST(TaskPlanGoldens, InlinePlanReproducesBlockingSchedule) {
-  for (const Cfg& cfg : configs()) {
-    if (cfg.double_buffer_only) continue;
+  for (const Cfg& cfg : configs())
     expect_eq(golden(cfg.name + ":blk"), run_task_plan(cfg, 0),
-              cfg.name + " task plan at D=0");
-  }
+              cfg.name + " task plan at D=0", cfg.pins_phase_split);
 }
 
 // D = 1 (the production lookahead >= 1 path delegates to the task plan)
@@ -456,7 +448,6 @@ TEST(TaskPlanGoldens, DepthOnePlanReproducesDoubleBuffer) {
 // Counters are schedule-invariant; total time is monotonically <= blocking.
 TEST(TaskPlanGoldens, DeeperLookaheadKeepsCountersAndNeverSlowsDown) {
   for (const Cfg& cfg : configs()) {
-    if (cfg.double_buffer_only) continue;
     const Golden blocking = golden(cfg.name + ":blk");
     for (int depth : {2, 3}) {
       const Golden deep = run_kernel(cfg, depth);

@@ -22,9 +22,8 @@
 #include <string>
 #include <vector>
 
-#include "core/hsumma.hpp"
+#include "core/kernel_registry.hpp"
 #include "core/runner.hpp"
-#include "core/summa.hpp"
 #include "net/topology.hpp"
 
 namespace {
@@ -97,20 +96,18 @@ Snapshot run_direct(const DirectConfig& config) {
                    .gamma_flop = kGamma});
   const int ranks = config.grid.size();
   std::vector<hs::trace::RankStats> stats(static_cast<std::size_t>(ranks));
+  hs::core::RunOptions options;
+  options.algorithm = config.algorithm;
+  options.grid = config.grid;
+  options.groups = config.groups;
+  options.problem = config.problem;
+  options.bcast_algo = config.bcast;
+  options.lookahead = config.overlap ? 1 : 0;
   for (int rank = 0; rank < ranks; ++rank) {
     hs::trace::RankStats* rank_stats = &stats[static_cast<std::size_t>(rank)];
-    hs::desim::Task<void> program =
-        config.algorithm == Algorithm::Summa
-            ? hs::core::summa_rank({machine.world(rank), config.grid,
-                                    config.problem, nullptr, rank_stats,
-                                    config.bcast, config.overlap,
-                                    hs::trace::RankTracer{}})
-            : hs::core::hsumma_rank({machine.world(rank), config.grid,
-                                     config.groups, config.problem, nullptr,
-                                     rank_stats, config.bcast,
-                                     config.overlap,
-                                     hs::trace::RankTracer{}});
-    engine.spawn(std::move(program), "rank " + std::to_string(rank));
+    engine.spawn(hs::core::summa_family_rank(hs::core::summa_family_args(
+                     options, machine.world(rank), nullptr, rank_stats)),
+                 "rank " + std::to_string(rank));
   }
   engine.run();
 

@@ -3,15 +3,49 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
+
+#include "core/hier_bcast.hpp"
 
 namespace {
 
 using hs::grid::GridShape;
-using hs::grid::HierGrid;
 using hs::mpc::Machine;
 
 std::shared_ptr<hs::net::HockneyModel> hockney() {
   return std::make_shared<hs::net::HockneyModel>(1e-5, 1e-9);
+}
+
+/// The four communicators of the paper's Algorithm 1 for process `self` of
+/// an s x t grid split into I x J groups, as the SUMMA family builds them:
+/// broadcast chains {J} along the grid row and {I} along the grid column.
+/// A broadcast rooted at the process itself runs the inter-group stage on
+/// its group row (column) and then the in-group stage on its row (column)
+/// inside the group.
+struct TwoLevelComms {
+  hs::mpc::Comm group_row;  // P(x,*)(i,j)
+  hs::mpc::Comm row;        // P(x,y)(i,*)
+  hs::mpc::Comm group_col;  // P(*,y)(i,j)
+  hs::mpc::Comm col;        // P(x,y)(*,j)
+  hs::mpc::Comm flat_row;   // the whole grid row
+  hs::mpc::Comm flat_col;   // the whole grid column
+};
+
+TwoLevelComms two_level(Machine& machine, int self, GridShape grid,
+                        GridShape groups) {
+  const hs::grid::ProcessGrid pg(machine.world(self), grid);
+  const std::vector<hs::core::BcastStage> a =
+      hs::core::BcastChain(pg.row_comm(), {groups.cols}, /*keep_trivial=*/true)
+          .stages(pg.row_comm().rank());
+  const std::vector<hs::core::BcastStage> b =
+      hs::core::BcastChain(pg.col_comm(), {groups.rows}, /*keep_trivial=*/true)
+          .stages(pg.col_comm().rank());
+  EXPECT_EQ(a.size(), 2u);
+  EXPECT_EQ(b.size(), 2u);
+  EXPECT_EQ(a[0].level, 0);
+  EXPECT_EQ(a[1].level, 1);
+  return {a[0].comm, a[1].comm, b[0].comm, b[1].comm, pg.row_comm(),
+          pg.col_comm()};
 }
 
 TEST(GroupArrangement, PicksDividingShapes) {
@@ -41,84 +75,77 @@ TEST(HierGrid, PaperFigure2Layout) {
   hs::desim::Engine engine;
   Machine machine(engine, hockney(), {.ranks = 36});
   // World rank 14 = grid (2, 2): group (1,1), local (0,0).
-  HierGrid hg(machine.world(14), {6, 6}, {3, 3});
-  EXPECT_EQ(hg.local_shape(), (GridShape{2, 2}));
-  EXPECT_EQ(hg.group_row(), 1);
-  EXPECT_EQ(hg.group_col(), 1);
-  EXPECT_EQ(hg.local_row(), 0);
-  EXPECT_EQ(hg.local_col(), 0);
+  const TwoLevelComms hg = two_level(machine, 14, {6, 6}, {3, 3});
 
-  // group_row_comm: same group row (1), local (0,0), group cols 0..2:
+  // Group row: same group row (1), local (0,0), group cols 0..2:
   // grid positions (2,0), (2,2), (2,4) -> world 12, 14, 16.
-  EXPECT_EQ(hg.group_row_comm().size(), 3);
-  EXPECT_EQ(hg.group_row_comm().world_rank(0), 12);
-  EXPECT_EQ(hg.group_row_comm().world_rank(1), 14);
-  EXPECT_EQ(hg.group_row_comm().world_rank(2), 16);
-  EXPECT_EQ(hg.group_row_comm().rank(), 1);
+  EXPECT_EQ(hg.group_row.size(), 3);
+  EXPECT_EQ(hg.group_row.world_rank(0), 12);
+  EXPECT_EQ(hg.group_row.world_rank(1), 14);
+  EXPECT_EQ(hg.group_row.world_rank(2), 16);
+  EXPECT_EQ(hg.group_row.rank(), 1);
 
-  // group_col_comm: same group col, local (0,0): grid (0,2),(2,2),(4,2).
-  EXPECT_EQ(hg.group_col_comm().size(), 3);
-  EXPECT_EQ(hg.group_col_comm().world_rank(0), 2);
-  EXPECT_EQ(hg.group_col_comm().world_rank(1), 14);
-  EXPECT_EQ(hg.group_col_comm().world_rank(2), 26);
+  // Group column: same group col, local (0,0): grid (0,2),(2,2),(4,2).
+  EXPECT_EQ(hg.group_col.size(), 3);
+  EXPECT_EQ(hg.group_col.world_rank(0), 2);
+  EXPECT_EQ(hg.group_col.world_rank(1), 14);
+  EXPECT_EQ(hg.group_col.world_rank(2), 26);
 
-  // row_comm inside group: grid (2,2),(2,3) -> world 14, 15.
-  EXPECT_EQ(hg.row_comm().size(), 2);
-  EXPECT_EQ(hg.row_comm().world_rank(0), 14);
-  EXPECT_EQ(hg.row_comm().world_rank(1), 15);
+  // Row inside the group: grid (2,2),(2,3) -> world 14, 15.
+  EXPECT_EQ(hg.row.size(), 2);
+  EXPECT_EQ(hg.row.world_rank(0), 14);
+  EXPECT_EQ(hg.row.world_rank(1), 15);
 
-  // col_comm inside group: grid (2,2),(3,2) -> world 14, 20.
-  EXPECT_EQ(hg.col_comm().size(), 2);
-  EXPECT_EQ(hg.col_comm().world_rank(0), 14);
-  EXPECT_EQ(hg.col_comm().world_rank(1), 20);
+  // Column inside the group: grid (2,2),(3,2) -> world 14, 20.
+  EXPECT_EQ(hg.col.size(), 2);
+  EXPECT_EQ(hg.col.world_rank(0), 14);
+  EXPECT_EQ(hg.col.world_rank(1), 20);
 }
 
 TEST(HierGrid, SingleGroupDegeneratesToFlatGrid) {
   hs::desim::Engine engine;
   Machine machine(engine, hockney(), {.ranks = 12});
-  HierGrid hg(machine.world(5), {3, 4}, {1, 1});
-  EXPECT_EQ(hg.group_row_comm().size(), 1);
-  EXPECT_EQ(hg.group_col_comm().size(), 1);
-  EXPECT_EQ(hg.row_comm().size(), 4);
-  EXPECT_EQ(hg.col_comm().size(), 3);
+  const TwoLevelComms hg = two_level(machine, 5, {3, 4}, {1, 1});
+  EXPECT_EQ(hg.group_row.size(), 1);
+  EXPECT_EQ(hg.group_col.size(), 1);
+  EXPECT_EQ(hg.row.size(), 4);
+  EXPECT_EQ(hg.col.size(), 3);
   // Inner comms equal the flat grid's comms.
-  EXPECT_EQ(hg.row_comm().context(), hg.flat().row_comm().context());
-  EXPECT_EQ(hg.col_comm().context(), hg.flat().col_comm().context());
+  EXPECT_EQ(hg.row.context(), hg.flat_row.context());
+  EXPECT_EQ(hg.col.context(), hg.flat_col.context());
 }
 
 TEST(HierGrid, AllGroupsDegenerateToInterGroupOnly) {
   hs::desim::Engine engine;
   Machine machine(engine, hockney(), {.ranks = 12});
-  HierGrid hg(machine.world(5), {3, 4}, {3, 4});
-  EXPECT_EQ(hg.local_shape(), (GridShape{1, 1}));
-  EXPECT_EQ(hg.row_comm().size(), 1);
-  EXPECT_EQ(hg.col_comm().size(), 1);
-  EXPECT_EQ(hg.group_row_comm().size(), 4);
-  EXPECT_EQ(hg.group_col_comm().size(), 3);
-  EXPECT_EQ(hg.group_row_comm().context(), hg.flat().row_comm().context());
-  EXPECT_EQ(hg.group_col_comm().context(), hg.flat().col_comm().context());
+  const TwoLevelComms hg = two_level(machine, 5, {3, 4}, {3, 4});
+  EXPECT_EQ(hg.row.size(), 1);
+  EXPECT_EQ(hg.col.size(), 1);
+  EXPECT_EQ(hg.group_row.size(), 4);
+  EXPECT_EQ(hg.group_col.size(), 3);
+  EXPECT_EQ(hg.group_row.context(), hg.flat_row.context());
+  EXPECT_EQ(hg.group_col.context(), hg.flat_col.context());
 }
 
 TEST(HierGrid, NonDividingArrangementThrows) {
   hs::desim::Engine engine;
   Machine machine(engine, hockney(), {.ranks = 12});
-  EXPECT_THROW(HierGrid(machine.world(0), {3, 4}, {2, 2}),
-               hs::PreconditionError);
+  EXPECT_THROW(two_level(machine, 0, {3, 4}, {2, 2}), hs::PreconditionError);
 }
 
 TEST(HierGrid, MembersAgreeAcrossRanks) {
   hs::desim::Engine engine;
   Machine machine(engine, hockney(), {.ranks = 16});
-  // Ranks 0 and 1 share a group row and local row; their group_row_comms
-  // differ (different local cols) but row_comms match.
-  HierGrid a(machine.world(0), {4, 4}, {2, 2});
-  HierGrid b(machine.world(1), {4, 4}, {2, 2});
-  EXPECT_EQ(a.row_comm().context(), b.row_comm().context());
-  EXPECT_NE(a.group_row_comm().context(), b.group_row_comm().context());
+  // Ranks 0 and 1 share a group row and local row; their group rows differ
+  // (different local cols) but their in-group rows match.
+  const TwoLevelComms a = two_level(machine, 0, {4, 4}, {2, 2});
+  const TwoLevelComms b = two_level(machine, 1, {4, 4}, {2, 2});
+  EXPECT_EQ(a.row.context(), b.row.context());
+  EXPECT_NE(a.group_row.context(), b.group_row.context());
   // Ranks 0 and 2: same local col (0), same group row, different group col:
-  // shared group_row_comm.
-  HierGrid c(machine.world(2), {4, 4}, {2, 2});
-  EXPECT_EQ(a.group_row_comm().context(), c.group_row_comm().context());
+  // shared group row.
+  const TwoLevelComms c = two_level(machine, 2, {4, 4}, {2, 2});
+  EXPECT_EQ(a.group_row.context(), c.group_row.context());
 }
 
 }  // namespace

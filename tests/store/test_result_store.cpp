@@ -89,6 +89,14 @@ TEST_F(ResultStoreTest, DefaultFingerprintIsStable) {
   EXPECT_EQ(store.fingerprint(), hs::store::simulator_fingerprint());
 }
 
+// The salt is bumped by hand whenever stored RunResults change without a
+// cache-key change; pinning it here makes every bump a visible test edit.
+// v2: hsumma-cyclic fills its outer/inner comm split (it runs the SUMMA
+// family's schedule), so its stored RunResults changed.
+TEST_F(ResultStoreTest, SimulatorSaltIsPinned) {
+  EXPECT_EQ(hs::store::kSimulatorSalt, "hsumma-sim-v2");
+}
+
 TEST_F(ResultStoreTest, PublishesLeaveNoTempFiles) {
   ResultStore store({.root = root_});
   for (int i = 0; i < 8; ++i)
