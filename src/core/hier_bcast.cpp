@@ -14,7 +14,6 @@ BcastChain::BcastChain(const mpc::Comm& comm, const std::vector<int>& factors,
   int p = comm.size();
   int rank = comm.rank();
   int level = 0;
-  links_.reserve(factors.size());
   std::vector<int> members;
   const auto carve = [&](int first, int stride, int count) {
     if (count == comm.size()) return comm;
@@ -33,22 +32,25 @@ BcastChain::BcastChain(const mpc::Comm& comm, const std::vector<int>& factors,
     }
     const int block = p / factor;
     const int offset = rank % block;
-    links_.push_back(
+    levels_.push_back(
         {carve(base + offset, block, factor), block, offset, level});
     base += (rank / block) * block;
     rank = offset;
     p = block;
     ++level;
   }
-  if (p > 1 || keep_trivial) leaf_ = carve(base, 1, p);
-  leaf_level_ = level;
+  if (p > 1 || keep_trivial)
+    levels_.push_back({carve(base, 1, p), /*block=*/0, /*offset=*/0, level});
 }
 
 std::vector<BcastStage> BcastChain::stages(int root) const {
+  HS_REQUIRE(root >= 0 && root < size_);
   std::vector<BcastStage> out;
-  for_each_stage(root, [&out](const BcastStage& stage) {
-    out.push_back(stage);
-  });
+  for (std::size_t i = 0; i < levels_.size(); ++i) {
+    int stage_root = 0;
+    if (levels_[i].joins(root, stage_root))
+      out.push_back({levels_[i].comm, stage_root, levels_[i].level});
+  }
   return out;
 }
 

@@ -10,9 +10,9 @@
 // SUMMA family in core/summa_family.hpp runs all of them on BcastChain).
 #pragma once
 
-#include <optional>
 #include <vector>
 
+#include "common/small_vector.hpp"
 #include "core/spec.hpp"
 #include "desim/task.hpp"
 #include "mpc/collectives.hpp"
@@ -29,12 +29,36 @@ struct BcastStage {
   int level = 0;
 };
 
+/// One level of a BcastChain on the calling rank: the representatives'
+/// communicator the rank belongs to (one rank per block, at the rank's own
+/// offset within its block), or — with block 0 — the rank's innermost
+/// block, where every member joins.
+struct ChainLevel {
+  mpc::Comm comm;
+  int block = 0;   // ranks per block below this level; 0: innermost block
+  int offset = 0;  // this rank's offset within its block
+  int level = 0;   // BcastStage::level
+
+  /// Whether this rank joins this level's stage of a broadcast whose root
+  /// is `root` within the level's enclosing block. Sets `stage_root` to the
+  /// stage's root on `comm` and moves `root` into the next level's block.
+  bool joins(int& root, int& stage_root) const {
+    if (block == 0) {
+      stage_root = root;
+      return true;
+    }
+    stage_root = root / block;
+    const bool joined = root % block == offset;
+    root %= block;
+    return joined;
+  }
+};
+
 /// One rank's communicators for hierarchical broadcasts over `comm`, built
-/// once. Per chain level the rank belongs to exactly one representatives'
-/// communicator (the ranks at its own offset within their blocks), and it
-/// ends in one innermost block. Only *which* of those stages a broadcast
-/// uses, and their roots, depend on the root — so a kernel builds the chain
-/// once and asks for each step's stages without creating communicators.
+/// once: one ChainLevel per applied factor plus the innermost block. Only
+/// *which* levels a broadcast uses, and their roots, depend on the root —
+/// so a kernel builds the chain once and re-roots it per step instead of
+/// creating communicators.
 ///
 /// Without `keep_trivial` the stages are exactly hier_bcast's phases:
 /// factor-1 levels keep their level number but yield no stage, and a block
@@ -50,37 +74,19 @@ class BcastChain {
   BcastChain(const mpc::Comm& comm, const std::vector<int>& factors,
              bool keep_trivial = false);
 
-  /// Calls `emit(stage)` for each of this rank's stages of a broadcast
-  /// rooted at `root` (a rank of the chain's communicator), outermost
-  /// first. Awaiting mpc::bcast on each in order is the hierarchical
-  /// broadcast.
-  template <typename Emit>
-  void for_each_stage(int root, Emit&& emit) const {
-    HS_REQUIRE(root >= 0 && root < size_);
-    for (const Link& link : links_) {
-      if (link.offset == root % link.block)
-        emit(BcastStage{link.reps, root / link.block, link.level});
-      root %= link.block;
-    }
-    if (leaf_) emit(BcastStage{*leaf_, root, leaf_level_});
+  /// The levels, outermost first (two inline: the HSUMMA chain).
+  const SmallVector<ChainLevel, 2>& levels() const noexcept {
+    return levels_;
   }
 
-  /// The stages of for_each_stage as a vector.
+  /// This rank's stages of a broadcast rooted at `root` (a rank of the
+  /// chain's communicator), outermost first. Awaiting mpc::bcast on each in
+  /// order is the hierarchical broadcast.
   std::vector<BcastStage> stages(int root) const;
 
  private:
-  // One level: this rank's representatives' communicator, the block size
-  // below the level, and this rank's offset within its block.
-  struct Link {
-    mpc::Comm reps;
-    int block = 1;
-    int offset = 0;
-    int level = 0;
-  };
   int size_ = 0;
-  std::vector<Link> links_;
-  std::optional<mpc::Comm> leaf_;
-  int leaf_level_ = 0;
+  SmallVector<ChainLevel, 2> levels_;
 };
 
 /// Hierarchical broadcast. Every element of `level_factors` must divide the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/small_vector.hpp"
 #include "core/hier_bcast.hpp"
 #include "core/panel.hpp"
 #include "core/task_plan.hpp"
@@ -56,66 +57,36 @@ namespace {
 // (pivot rows, broadcast along grid columns).
 constexpr int kAxes = 2;
 
-/// A broadcast a consumer issues: one stage of axis `axis`'s panel,
-/// charged to `phase`.
+/// One broadcast stage of an axis's panels as the consumers issue it. Its
+/// communicator is fixed for the run; its root and whether this rank joins
+/// follow the panel owner.
 struct PanelStage {
-  BcastStage stage;
+  ChainLevel level;
   int axis = 0;
-  int phase = kPhaseFlat;
-};
-
-/// One big step's broadcasts on this rank, in issue order: the outer-panel
-/// stages of A then B (HSUMMA only), then the step stages of A then B.
-/// Four live inline — every SUMMA, HSUMMA and depth-1 chain step — so the
-/// blocking loop touches no heap per step; deeper chains spill the rest.
-class StepStages {
- public:
-  void clear() noexcept {
-    size_ = 0;
-    outer = 0;
-    spill_.clear();
-  }
-  void push_back(const PanelStage& stage) {
-    if (size_ < kInline)
-      inline_[size_] = stage;
-    else
-      spill_.push_back(stage);
-    ++size_;
-  }
-  std::size_t size() const noexcept { return size_; }
-  const PanelStage& operator[](std::size_t i) const {
-    return i < kInline ? inline_[i] : spill_[i - kInline];
-  }
-
-  std::size_t outer = 0;  // leading stages that move HSUMMA's outer panels
-
- private:
-  static constexpr std::size_t kInline = 4;
-  PanelStage inline_[kInline];
-  std::size_t size_ = 0;
-  std::vector<PanelStage> spill_;
+  int phase = kPhaseFlat;  // stats/trace attribution (task_plan.hpp)
+  int root = 0;            // on level.comm, for the current panel
+  bool active = false;     // this rank joins it for the current panel
 };
 
 /// One rank's step schedule: `panels` big steps of `width` columns of k,
 /// each split into `width / block` rank-b steps (only HSUMMA has a width
 /// above b, its outer block B, and outer-panel stages: chain level 0).
 /// advance() walks the big steps in order. It tracks each panel's owner and
-/// local offset incrementally (no division per step) and rebuilds the
-/// step's stages only when an owner changes: every k/(t*B) big steps in the
-/// block layout, every big step in the block-cyclic one.
+/// local offset incrementally and, when an owner changes (every k/(t*B)
+/// big steps in the block layout, every big step in the block-cyclic one),
+/// re-roots that axis's stages in place: no division per step, no
+/// communicator built after construction.
 class Schedule {
  public:
   explicit Schedule(const SummaFamilyArgs& args);
 
   /// Moves to the next big step (the first call: big step 0).
   void advance() {
-    bool moved = false;
-    for (Axis& axis : axes_) {
+    for (int a = 0; a < kAxes; ++a) {
+      Axis& axis = axes_[a];
       if (axis.root < 0) {
         axis.root = 0;
-        moved = true;
       } else if (cyclic_) {
-        moved = true;
         if (++axis.root == axis.procs) {
           axis.root = 0;
           axis.offset += axis.unit;
@@ -123,14 +94,22 @@ class Schedule {
       } else if ((axis.offset += width) == axis.unit) {
         axis.offset = 0;
         ++axis.root;
-        moved = true;
+      } else {
+        continue;  // same owner, same stages
       }
+      reroot(a);
     }
-    if (moved) restage();
   }
 
-  /// The current big step's broadcasts on this rank.
-  const StepStages& stages() const noexcept { return stages_; }
+  /// Every stage of a big step, in issue order: the outer-panel stages of
+  /// A then B (HSUMMA only), then the step stages of A then B; the rank
+  /// issues the active ones. Four fit inline (every SUMMA, HSUMMA and
+  /// depth-1 chain).
+  const SmallVector<PanelStage, 4>& stages() const noexcept {
+    return stages_;
+  }
+  /// How many leading stages move HSUMMA's outer panels.
+  std::size_t outer_stages() const noexcept { return outer_stages_; }
   /// This rank owns the current panel of `axis` in its local matrix...
   bool owner(int axis) const { return axes_[axis].root == axes_[axis].me; }
   /// ... at this local column (A) / row (B).
@@ -162,16 +141,26 @@ class Schedule {
     bool holds_outer = false;
   };
 
-  void restage();
+  /// Re-derives axis `a`'s stage roots and activity from its owner.
+  void reroot(int a) {
+    int root = axes_[a].root;
+    axes_[a].holds_outer = false;
+    for (std::size_t i = 0; i < stages_.size(); ++i) {
+      PanelStage& stage = stages_[i];
+      if (stage.axis != a) continue;  // an axis's stages are in level order
+      stage.active = stage.level.joins(root, stage.root);
+      if (i < outer_stages_) axes_[a].holds_outer = stage.active;
+    }
+  }
 
-  // Per-step state first; the chains, read only by restage(), last.
   bool cyclic_ = false;
   Axis axes_[kAxes];
-  StepStages stages_;
-  BcastChain chains_[kAxes];  // along grid rows (A) and columns (B)
+  SmallVector<PanelStage, 4> stages_;
+  std::size_t outer_stages_ = 0;
 };
 
 Schedule::Schedule(const SummaFamilyArgs& args) {
+  HS_REQUIRE_MSG(args.stats != nullptr, "the SUMMA family needs a stats sink");
   const ProblemSpec& prob = args.problem;
   hsumma = args.variant == SummaVariant::Hsumma;
   split = args.variant == SummaVariant::Multilevel &&
@@ -203,8 +192,30 @@ Schedule::Schedule(const SummaFamilyArgs& args) {
 
   const grid::ProcessGrid pg(args.comm, args.shape);
   const bool keep_trivial = args.variant != SummaVariant::Multilevel;
-  chains_[0] = BcastChain(pg.row_comm(), args.row_levels, keep_trivial);
-  chains_[1] = BcastChain(pg.col_comm(), args.col_levels, keep_trivial);
+  const BcastChain chains[kAxes] = {
+      BcastChain(pg.row_comm(), args.row_levels, keep_trivial),
+      BcastChain(pg.col_comm(), args.col_levels, keep_trivial)};
+  // HSUMMA's chain level 0 moves the outer panels. Two passes keep the
+  // issue order: every outer stage before any step stage, A before B.
+  const int outer_levels = hsumma ? 1 : 0;
+  for (const bool outer_pass : {true, false}) {
+    for (int a = 0; a < kAxes; ++a) {
+      const SmallVector<ChainLevel, 2>& levels = chains[a].levels();
+      for (std::size_t i = 0; i < levels.size(); ++i) {
+        const ChainLevel& level = levels[i];
+        const bool outer = level.level < outer_levels;
+        if (outer != outer_pass) continue;
+        int phase = kPhaseOuter;
+        if (!outer)
+          phase = hsumma  ? kPhaseInner
+                  : split ? kPhaseLevelBase + level.level
+                          : kPhaseFlat;
+        stages_.push_back({level, a, phase});
+      }
+    }
+    if (outer_pass) outer_stages_ = stages_.size();
+  }
+
   axes_[0].procs = pg.cols();
   axes_[1].procs = pg.rows();
   axes_[0].me = pg.my_col();
@@ -222,31 +233,6 @@ Schedule::Schedule(const SummaFamilyArgs& args) {
     axes_[1].unit = prob.k / pg.rows();
     local_m = prob.m / pg.rows();
     local_n = prob.n / pg.cols();
-  }
-}
-
-void Schedule::restage() {
-  stages_.clear();
-  const int outer_levels = hsumma ? 1 : 0;
-  for (Axis& axis : axes_) axis.holds_outer = false;
-  // Two passes keep the issue order: every outer stage before any step
-  // stage, A before B within each.
-  for (const bool outer_pass : {true, false}) {
-    for (int a = 0; a < kAxes; ++a) {
-      Axis& axis = axes_[a];
-      chains_[a].for_each_stage(axis.root, [&](const BcastStage& stage) {
-        const bool outer = stage.level < outer_levels;
-        if (outer != outer_pass) return;
-        int phase = kPhaseOuter;
-        if (!outer)
-          phase = hsumma  ? kPhaseInner
-                  : split ? kPhaseLevelBase + stage.level
-                          : kPhaseFlat;
-        axis.holds_outer |= outer;
-        stages_.push_back({stage, a, phase});
-      });
-    }
-    if (outer_pass) stages_.outer = stages_.size();
   }
 }
 
@@ -274,7 +260,7 @@ const char* stage_label(const PanelStage& ps, bool split) {
       {"bcast B L0", "bcast B L1", "bcast B L2", "bcast B L3", "bcast B L4",
        "bcast B L5", "bcast B L6", "bcast B L7+"}};
   if (ps.phase == kPhaseOuter) return kOuter[ps.axis];
-  return split ? kLevels[ps.axis][std::min(ps.stage.level, 7)]
+  return split ? kLevels[ps.axis][std::min(ps.level.level, 7)]
                : kFlat[ps.axis];
 }
 
@@ -310,7 +296,7 @@ desim::Task<void> blocking_loop(BlockingRank rank) {
                               PanelBuffer(sched.block, sched.local_n, mode)};
   const double flops = la::gemm_flops(sched.local_m, sched.local_n,
                                       sched.block);
-  const StepStages& stages = sched.stages();
+  const SmallVector<PanelStage, 4>& stages = sched.stages();
 
   // A big step is HSUMMA's outer phase (w = -1: the outer-panel stages)
   // followed by its rank-b steps, each its step stages plus one update.
@@ -335,14 +321,16 @@ desim::Task<void> blocking_loop(BlockingRank rank) {
           copy_panel(axis, local_matrix(*rank.local, axis),
                      sched.offset(axis), buffers[axis]);
       }
-      const std::size_t first = outer_phase ? 0 : stages.outer;
-      const std::size_t last = outer_phase ? stages.outer : stages.size();
+      const std::size_t outer_stages = sched.outer_stages();
+      const std::size_t first = outer_phase ? 0 : outer_stages;
+      const std::size_t last = outer_phase ? outer_stages : stages.size();
       for (std::size_t i = first; i < last; ++i) {
         const PanelStage& ps = stages[i];
+        if (!ps.active) continue;
         const double t0 = engine.now();
-        if (ps.phase >= kPhaseLevelBase) rank.tracer.set_level(ps.stage.level);
-        co_await mpc::bcast(ps.stage.comm, ps.stage.root,
-                            buffers[ps.axis].buf(), rank.bcast_algo);
+        if (ps.phase >= kPhaseLevelBase) rank.tracer.set_level(ps.level.level);
+        co_await mpc::bcast(ps.level.comm, ps.root, buffers[ps.axis].buf(),
+                            rank.bcast_algo);
         if (ps.phase >= kPhaseLevelBase) rank.tracer.set_level(-1);
         charge_comm(stats, ps.phase, engine.now() - t0);
       }
@@ -359,18 +347,10 @@ desim::Task<void> blocking_loop(BlockingRank rank) {
   }
 }
 
-/// Holds a stats sink for ranks run without one.
-desim::Task<void> with_scratch_stats(SummaFamilyArgs args) {
-  trace::RankStats stats;
-  args.stats = &stats;
-  co_await summa_family_rank(std::move(args));
-}
-
 }  // namespace
 
 desim::Task<void> summa_family_rank(SummaFamilyArgs args) {
   if (args.lookahead > 0) return summa_family_plan(std::move(args));
-  if (args.stats == nullptr) return with_scratch_stats(std::move(args));
   mpc::Machine& machine = args.comm.machine();
   return blocking_loop({&machine, args.comm.my_world_rank(), args.local,
                         args.stats, args.bcast_algo, args.tracer,
@@ -390,8 +370,7 @@ desim::Task<void> plan_program(SummaFamilyArgs args, Schedule sched) {
   const PayloadMode mode =
       args.local == nullptr ? PayloadMode::Phantom : PayloadMode::Real;
 
-  trace::RankStats scratch_stats;
-  trace::RankStats& stats = args.stats ? *args.stats : scratch_stats;
+  trace::RankStats& stats = *args.stats;
 
   const int D = args.lookahead;
   // Outer panels: D >= 2 keeps D in flight (prefetch across big steps);
@@ -416,7 +395,7 @@ desim::Task<void> plan_program(SummaFamilyArgs args, Schedule sched) {
                                       sched.block);
 
   desim::TaskGraph graph;
-  const StepStages& stages = sched.stages();
+  const SmallVector<PanelStage, 4>& stages = sched.stages();
   // Step marks ride on the rank's next task, so inline (D = 0) execution
   // stamps them at exactly the blocking loop's program points.
   std::vector<desim::TaskStepMark> marks;
@@ -429,15 +408,14 @@ desim::Task<void> plan_program(SummaFamilyArgs args, Schedule sched) {
                             desim::TaskGraph::Hook before) {
     spec.kind = desim::TaskKind::Comm;
     spec.phase = ps.phase;
-    spec.channel = ps.stage.comm.context();
+    spec.channel = ps.level.comm.context();
     spec.label = stage_label(ps, sched.split);
     spec.marks = std::move(marks);
     marks.clear();
     return graph.add(
         std::move(spec),
-        [stage = ps.stage, &panel, &args] {
-          return mpc::bcast(stage.comm, stage.root, panel.buf(),
-                            args.bcast_algo);
+        [comm = ps.level.comm, root = ps.root, &panel, &args] {
+          return mpc::bcast(comm, root, panel.buf(), args.bcast_algo);
         },
         std::move(before));
   };
@@ -451,8 +429,9 @@ desim::Task<void> plan_program(SummaFamilyArgs args, Schedule sched) {
     outer_ids.clear();
     if (sched.hsumma)
       marks.push_back({static_cast<long long>(s), kPhaseOuter});
-    for (std::size_t i = 0; i < stages.outer; ++i) {
+    for (std::size_t i = 0; i < sched.outer_stages(); ++i) {
       const PanelStage& ps = stages[i];
+      if (!ps.active) continue;
       PanelBuffer& panel = outers[ps.axis][oslot];
       desim::TaskSpec spec;
       spec.step = s;
@@ -509,15 +488,16 @@ desim::Task<void> plan_program(SummaFamilyArgs args, Schedule sched) {
           };
       }
       step_ids.clear();
-      for (std::size_t i = stages.outer; i < stages.size(); ++i) {
+      for (std::size_t i = sched.outer_stages(); i < stages.size(); ++i) {
         const PanelStage& ps = stages[i];
+        if (!ps.active) continue;
         desim::TaskSpec spec;
         spec.step = g;
         // Fused wait accrual per step (per step and level for chains, so
         // overlapped runs still report the per-level wait split).
         if (D >= 1)
           spec.wait_group =
-              static_cast<int>(sched.split ? g * 16 + ps.stage.level : g);
+              static_cast<int>(sched.split ? g * 16 + ps.level.level : g);
         if (sched.hsumma) spec.in = {outer_region[ps.axis]};
         spec.out = {step_region[ps.axis]};
         spec.after = coupling;

@@ -63,7 +63,7 @@ struct SummaFamilyArgs {
   /// (b, or B for HSUMMA) instead of block-checkerboard.
   bool cyclic = false;
   LocalBlocks* local = nullptr;        // nullptr in Phantom mode
-  trace::RankStats* stats = nullptr;   // optional
+  trace::RankStats* stats = nullptr;   // required: the rank's sink
   std::optional<net::BcastAlgo> bcast_algo;  // default: machine config
   /// Look-ahead depth D: 0 runs the blocking loop; D >= 1 the task plan.
   /// comm_time then counts only the *exposed* (non-hidden) communication.
