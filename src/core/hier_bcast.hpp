@@ -10,6 +10,7 @@
 // SUMMA family in core/summa_family.hpp runs all of them on BcastChain).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "common/small_vector.hpp"
@@ -60,12 +61,12 @@ struct ChainLevel {
 /// so a kernel builds the chain once and re-roots it per step instead of
 /// creating communicators.
 ///
-/// Without `keep_trivial` the stages are exactly hier_bcast's phases:
-/// factor-1 levels keep their level number but yield no stage, and a block
-/// that shrinks to one rank ends the chain. With it every level yields a
-/// stage even on a size-1 communicator — the convention of the two-level
-/// HSUMMA grid ({J} along rows, {I} along columns) and of flat SUMMA (no
-/// factors: one stage over `comm`).
+/// Without `keep_trivial` degenerate levels are dropped (hier_bcast's
+/// decomposition): factor-1 levels keep their level number but yield no
+/// stage, and a block that shrinks to one rank ends the chain. With it
+/// every level yields a stage even on a size-1 communicator — the
+/// convention of the two-level HSUMMA grid ({J} along rows, {I} along
+/// columns) and of flat SUMMA (no factors: one stage over `comm`).
 class BcastChain {
  public:
   BcastChain() = default;

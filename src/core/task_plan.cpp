@@ -62,13 +62,9 @@ void PlanObserver::task_issued(const desim::TaskGraph& graph, int id) {
     tracer_.begin_step(engine_, mark.step, to_trace_phase(mark.phase));
 }
 
-void PlanObserver::accrue_wait(double t0, double t1, int phase) {
-  charge_comm(stats_, phase, t1 - t0);
-}
-
 void PlanObserver::flush() {
   if (pending_group_ < 0) return;
-  accrue_wait(pending_start_, pending_end_, pending_phase_);
+  charge_comm(stats_, pending_phase_, pending_end_ - pending_start_);
   pending_group_ = -1;
 }
 
@@ -101,7 +97,7 @@ void PlanObserver::task_waited(const desim::TaskGraph& graph, int id,
       pending_start_ = t0;
       pending_end_ = t1;
     } else {
-      accrue_wait(t0, t1, spec.phase);
+      charge_comm(stats_, spec.phase, t1 - t0);
     }
   }
   if (trace::Recorder* recorder = tracer_.recorder(); recorder != nullptr)

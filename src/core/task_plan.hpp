@@ -73,8 +73,6 @@ class PlanObserver final : public desim::TaskObserver {
   void flush();
 
  private:
-  void accrue_wait(double t0, double t1, int phase);
-
   desim::Engine& engine_;
   trace::RankStats& stats_;
   trace::RankTracer tracer_;
