@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace {
 
 TEST(Split, BasicAndEdgeCases) {
@@ -27,10 +29,15 @@ TEST(StartsWith, Basics) {
 }
 
 struct IntCase {
+  const char* label;
   const char* text;
   bool ok;
   long long value;
 };
+
+// Without this, gtest prints the case as raw bytes, pointer included, and the
+// discovered ctest names change with the load address on every build.
+void PrintTo(const IntCase& c, std::ostream* os) { *os << c.label; }
 
 class ParseIntTest : public ::testing::TestWithParam<IntCase> {};
 
@@ -45,11 +52,15 @@ TEST_P(ParseIntTest, Parses) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, ParseIntTest,
-    ::testing::Values(IntCase{"0", true, 0}, IntCase{"42", true, 42},
-                      IntCase{"-17", true, -17}, IntCase{" 8 ", true, 8},
-                      IntCase{"", false, 0}, IntCase{"x", false, 0},
-                      IntCase{"12x", false, 0}, IntCase{"1.5", false, 0},
-                      IntCase{"9223372036854775807", true,
+    ::testing::Values(IntCase{"Zero", "0", true, 0},
+                      IntCase{"FortyTwo", "42", true, 42},
+                      IntCase{"Negative", "-17", true, -17},
+                      IntCase{"PaddedWithSpaces", " 8 ", true, 8},
+                      IntCase{"Empty", "", false, 0},
+                      IntCase{"Letter", "x", false, 0},
+                      IntCase{"TrailingJunk", "12x", false, 0},
+                      IntCase{"Decimal", "1.5", false, 0},
+                      IntCase{"LongLongMax", "9223372036854775807", true,
                               9223372036854775807LL}));
 
 TEST(ParseDouble, AcceptsFloatsAndRejectsJunk) {
