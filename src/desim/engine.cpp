@@ -6,6 +6,69 @@
 
 namespace hs::desim {
 
+struct Engine::ForkPromise {
+  static void* operator new(std::size_t size) {
+    return FramePool::allocate(size);
+  }
+  static void operator delete(void* ptr, std::size_t size) noexcept {
+    FramePool::deallocate(ptr, size);
+  }
+
+  ForkRoot get_return_object() noexcept;
+  std::suspend_always initial_suspend() noexcept { return {}; }
+  // Not suspending at the end destroys the frame — and with it the forked
+  // task's whole frame chain — as soon as the fork finishes.
+  std::suspend_never final_suspend() noexcept { return {}; }
+  void return_void() noexcept {}
+  void unhandled_exception() noexcept {
+    if (!engine->failure_) engine->failure_ = std::current_exception();
+  }
+
+  void link(Engine& owner) noexcept {
+    engine = &owner;
+    next = owner.forks_;
+    if (next != nullptr) next->prev = this;
+    owner.forks_ = this;
+  }
+  ~ForkPromise() {
+    (prev != nullptr ? prev->next : engine->forks_) = next;
+    if (next != nullptr) next->prev = prev;
+  }
+
+  Engine* engine = nullptr;
+  ForkPromise* prev = nullptr;
+  ForkPromise* next = nullptr;
+};
+
+struct Engine::ForkRoot {
+  using promise_type = ForkPromise;
+  std::coroutine_handle<ForkPromise> handle;
+};
+
+Engine::ForkRoot Engine::ForkPromise::get_return_object() noexcept {
+  return {std::coroutine_handle<ForkPromise>::from_promise(*this)};
+}
+
+Engine::ForkRoot Engine::fork_root(Task<void> task, Gate* done) {
+  co_await std::move(task);
+  done->fire_at(now_);
+}
+
+void Engine::start_fork(Task<void> task, Gate& done) {
+  HS_REQUIRE(task.valid());
+  const std::coroutine_handle<ForkPromise> root =
+      fork_root(std::move(task), &done).handle;
+  root.promise().link(*this);
+  schedule_at(now_, root);
+}
+
+Engine::~Engine() {
+  // Each destroy unlinks the fork from the list; suspended processes go
+  // with supervisors_.
+  while (forks_ != nullptr)
+    std::coroutine_handle<ForkPromise>::from_promise(*forks_).destroy();
+}
+
 Task<void> Engine::supervise(Task<void> inner, std::size_t index) {
   try {
     co_await std::move(inner);
@@ -331,8 +394,8 @@ void Engine::run() {
 
   if (failure_) {
     // Drop remaining events; suspended coroutine frames are reclaimed when
-    // their owning Task objects (supervisors_, and pending-op tasks held by
-    // them) are destroyed with the engine.
+    // the engine is destroyed (live forks, then supervisors_ and the
+    // pending-op tasks held by them).
     drop_pending_events();
     std::exception_ptr failure = failure_;
     failure_ = nullptr;
@@ -351,11 +414,17 @@ void Engine::run() {
       }
     }
   }
-  if (stuck_count > 0) {
+  int stuck_forks = 0;
+  for (const ForkPromise* fork = forks_; fork != nullptr; fork = fork->next)
+    ++stuck_forks;
+  if (stuck_count > 0 || stuck_forks > 0) {
+    // Forks have no names: a stuck fork shows up through the process
+    // blocked joining it.
     std::ostringstream message;
-    message << "simulation deadlock: " << stuck_count
-            << " process(es) still suspended after event queue drained: "
-            << stuck.str();
+    message << "simulation deadlock: " << stuck_count << " process(es)";
+    if (stuck_forks > 0) message << " and " << stuck_forks << " fork(s)";
+    message << " still suspended after event queue drained";
+    if (stuck_count > 0) message << ": " << stuck.str();
     if (stuck_count > 8) message << ", ...";
     throw DeadlockError(message.str());
   }

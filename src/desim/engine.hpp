@@ -22,8 +22,8 @@
 // ranks generate. All structures pop in exactly (time, seq) order, so the
 // schedule is bit-for-bit identical to a single totally-ordered queue —
 // asserted against seed-engine goldens by tests/desim/test_determinism.cpp.
-// Coroutine frames (including the per-process supervise wrappers) are
-// recycled through desim::FramePool.
+// Coroutine frames (including the per-process supervise wrappers and fork
+// roots) are recycled through desim::FramePool.
 #pragma once
 
 #include <coroutine>
@@ -50,9 +50,13 @@ class DeadlockError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+class Gate;
+
 class Engine {
  public:
   Engine() = default;
+  /// Destroys every still-suspended fork and process frame chain.
+  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -77,8 +81,9 @@ class Engine {
   /// the full name is composed only inside error paths.
   void spawn_indexed(Task<void> task, std::string_view prefix, int index);
 
-  /// Run until the event queue is empty. Re-throws the first process
-  /// exception; throws DeadlockError if processes remain suspended.
+  /// Run until the event queue is empty. Re-throws the first process or
+  /// fork exception; throws DeadlockError if processes or forks remain
+  /// suspended.
   ///
   /// Thread affinity: the first run() pins the engine to the calling
   /// thread, and every later run() must come from that same thread. The
@@ -191,6 +196,18 @@ class Engine {
   // without scanning all processes per event.
   Task<void> supervise(Task<void> inner, std::size_t index);
 
+  // Forks (Async::start) are not processes: each is one root coroutine
+  // that runs the task, fires `done`, and frees its own frame chain the
+  // moment it finishes. Live roots form an intrusive list through their
+  // promises, so deadlock detection can count them and ~Engine can destroy
+  // them.
+  friend class Async;
+  struct ForkPromise;
+  struct ForkRoot;
+  ForkRoot fork_root(Task<void> task, Gate* done);
+  /// Start `task` at the current time; costs one schedule_at(now).
+  void start_fork(Task<void> task, Gate& done);
+
   // Same-timestamp coalescing: simulated workloads are heavily
   // time-synchronized (a collective completion fires every participant's
   // gate at one instant; lock-stepped ranks all sleep until the same next
@@ -289,6 +306,7 @@ class Engine {
   std::vector<ProcessRecord> records_;
   std::vector<std::string> name_prefixes_;  // interned spawn_indexed prefixes
   std::vector<Task<void>> supervisors_;
+  ForkPromise* forks_ = nullptr;  // head of the live-fork list
   std::exception_ptr failure_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
@@ -371,18 +389,23 @@ class Gate {
 /// what communication/computation overlap is built from: a rank forks the
 /// next step's broadcasts, computes the current step, then joins.
 ///
-/// An Async must be joined (or known complete) before destruction — a
-/// dropped Async leaves the forked task running, which the engine then
-/// reports as usual (completion, failure, or deadlock).
+/// A fork is not an engine process. It costs exactly one event at the
+/// current time, and its frame chain returns to the FramePool the moment
+/// it finishes, so memory tracks the forks in flight rather than every
+/// fork of the run. A fork's exception fails Engine::run; a fork still
+/// suspended when the queue drains makes run() throw DeadlockError (which
+/// names the process blocked joining it, if any); the engine destroys any
+/// live fork when it is destroyed. The fork fires this Async's gate when
+/// it finishes, so an Async must be joined (or known complete) before it
+/// is destroyed.
 class Async {
  public:
   Async() = default;
 
-  static Async start(Engine& engine, Task<void> task, std::string name = {}) {
+  static Async start(Engine& engine, Task<void> task) {
     Async async;
     async.state_ = std::make_unique<State>(engine);
-    engine.spawn(wrap(std::move(task), async.state_.get(), &engine),
-                 std::move(name));
+    engine.start_fork(std::move(task), async.state_->gate);
     return async;
   }
 
@@ -407,11 +430,6 @@ class Async {
     }
     Gate gate;
   };
-
-  static Task<void> wrap(Task<void> inner, State* state, Engine* engine) {
-    co_await std::move(inner);
-    state->gate.fire_at(engine->now());
-  }
 
   std::unique_ptr<State> state_;
 };

@@ -33,11 +33,18 @@
 //     deterministic decision points — dependency-join instants and compute
 //     boundaries — so the schedule depends only on the DAG and the engine's
 //     (time, seq) order, never on host scheduling.
+//   * Readiness is incremental: the run starts by counting each task's
+//     unfinished dependencies; every completion decrements its dependents
+//     and queues those that became runnable (comms in id order; computes in
+//     ready and candidate sets keyed by priority, then id). A decision point
+//     costs what is in flight, never a scan of the whole graph, and each
+//     fork's frames are freed when it completes.
 //
-// Determinism: every loop in the scheduler iterates tasks in id order and
+// Determinism: every queue pops tasks in id (or priority, id) order and
 // all forks go through Async::start (engine seq order), so equal graphs
 // produce bit-identical schedules — the property the D=0/D=1 legacy
-// goldens in tests/core/test_taskplan_goldens.cpp pin down.
+// goldens in tests/core/test_taskplan_goldens.cpp and the random-DAG
+// goldens in tests/desim/test_taskgraph.cpp pin down.
 #pragma once
 
 #include <cstdint>
