@@ -34,7 +34,7 @@ ParallelExecutor::ParallelExecutor(ExecutorOptions options)
     cache_enabled_ = false;
     store_.reset();  // the durable tier rides on the cache keys
   }
-  cache_byte_budget_ = options.cache_bytes;
+  cache_budget_bytes_ = options.cache_bytes;
   workers_.reserve(static_cast<std::size_t>(jobs));
   for (int i = 0; i < jobs; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -201,8 +201,8 @@ void ParallelExecutor::cache_insert_locked(const std::string& key,
   CacheEntry entry{result, cache_entry_bytes(key, result), lru_.begin()};
   cache_bytes_ += entry.bytes;
   cache_.emplace(key, std::move(entry));
-  if (cache_byte_budget_ == 0) return;
-  while (cache_bytes_ > cache_byte_budget_ && cache_.size() > 1) {
+  if (cache_budget_bytes_ == 0) return;
+  while (cache_bytes_ > cache_budget_bytes_ && cache_.size() > 1) {
     // Evict least-recently-used, but never the entry just inserted (the
     // cache must always be able to hold the current result).
     const std::string& victim_key = lru_.back();

@@ -164,7 +164,7 @@ class ParallelExecutor {
   std::size_t outstanding_ = 0;  // submitted, not yet done
   bool cache_enabled_ = true;
   bool stop_ = false;
-  std::uint64_t cache_byte_budget_ = 0;  // 0 = unbounded
+  std::uint64_t cache_budget_bytes_ = 0;  // 0 = unbounded
   std::uint64_t cache_bytes_ = 0;
   std::uint64_t engines_run_ = 0;
   std::uint64_t cache_hits_ = 0;

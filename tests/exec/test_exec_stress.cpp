@@ -4,12 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <latch>
+#include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/hierarchy.hpp"
 #include "fault/fault_plan.hpp"
+#include "store/result_codec.hpp"
+#include "store/result_store.hpp"
 #include "trace/metrics.hpp"
 #include "trace/recorder.hpp"
 
@@ -78,22 +85,50 @@ TEST(ExecStress, FaultySweepUnderFourWorkers) {
 
 TEST(ExecStress, ConcurrentProducersAndReaders) {
   // Several threads submit and immediately read results while workers run:
-  // exercises submit/result/cache interleavings under contention.
-  ParallelExecutor executor({.jobs = 3});
-  std::vector<std::thread> producers;
-  producers.reserve(4);
-  for (int t = 0; t < 4; ++t) {
-    producers.emplace_back([&executor, t] {
-      for (int i = 0; i < 8; ++i) {
-        const std::size_t id = executor.submit(
-            tiny_job(1 << (i % 5), static_cast<std::uint64_t>(t)));
-        EXPECT_GT(executor.result(id).timing.total_time, 0.0);
-      }
-    });
+  // exercises submit/result/cache interleavings under contention. Two
+  // inputs: every producer on its own seeds (no sharing), and every
+  // producer submitting the same ten jobs, each from a different starting
+  // point, into an executor with a store attached, so identical
+  // submissions from different threads race onto one in-flight run and one
+  // publish while other jobs' store loads and publishes run beside them.
+  constexpr std::size_t kProducers = 4;
+  const std::string store_dir = testing::TempDir() + "/exec_stress_store";
+  for (const bool shared : {false, true}) {
+    SCOPED_TRACE(shared ? "shared jobs, store attached" : "distinct seeds");
+    std::filesystem::remove_all(store_dir);
+    std::shared_ptr<hs::store::ResultStore> store;
+    if (shared)
+      store = std::make_shared<hs::store::ResultStore>(
+          hs::store::StoreOptions{.root = store_dir});
+    ParallelExecutor executor({.jobs = 3, .store = store});
+    std::vector<std::map<std::size_t, std::string>> read(kProducers);
+    std::latch start(kProducers);
+    std::vector<std::thread> producers;
+    for (std::size_t t = 0; t < kProducers; ++t) {
+      producers.emplace_back([&, t] {
+        start.arrive_and_wait();
+        for (std::size_t i = 0; i < 10; ++i) {
+          const std::size_t k = (i + 3 * t) % 10;  // job k: G = 2^(k%5)
+          const auto result = executor.result(executor.submit(tiny_job(
+              1 << (k % 5), k / 5 + (shared ? 0 : 2 * t))));
+          EXPECT_GT(result.timing.total_time, 0.0);
+          read[t][k] = hs::write_json(hs::store::run_result_to_json(result));
+        }
+      });
+    }
+    for (std::thread& producer : producers) producer.join();
+    executor.wait_all();
+    EXPECT_EQ(executor.jobs_submitted(), 40u);
+    if (!shared) continue;
+    // Every duplicate across producers coalesced onto one engine run and
+    // one store object per unique job...
+    EXPECT_EQ(executor.engines_run(), 10u);
+    EXPECT_EQ(store->stats().writes, 10u);
+    // ...and every producer read bit-identical results.
+    for (std::size_t t = 1; t < kProducers; ++t)
+      EXPECT_EQ(read[t], read[0]) << "producer " << t;
   }
-  for (std::thread& producer : producers) producer.join();
-  executor.wait_all();
-  EXPECT_EQ(executor.jobs_submitted(), 32u);
+  std::filesystem::remove_all(store_dir);
 }
 
 TEST(ExecStress, LuParallelSweepRacesClean) {

@@ -74,8 +74,8 @@ TEST(ResultCodec, RoundTripsThroughSerializedText) {
 }
 
 TEST(ResultCodec, EncodingIsCanonical) {
-  // Equal results -> equal bytes (the serve protocol's byte-identity
-  // guarantee rests on this).
+  // Equal results -> equal bytes (a republished object is byte-identical
+  // to the one it replaces).
   const std::string a =
       hs::write_json(hs::store::run_result_to_json(awkward_result()));
   const std::string b =

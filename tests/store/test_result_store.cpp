@@ -1,12 +1,13 @@
 // The content-addressed on-disk result store: durability across instances
 // (process restarts), fingerprint namespace isolation, atomic publishes,
-// corruption tolerance and LRU byte-budget eviction.
+// corruption tolerance and the objects-only on-disk layout.
 #include "store/result_store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "store/fingerprint.hpp"
 
@@ -53,8 +54,8 @@ TEST_F(ResultStoreTest, SaveThenLoadRoundTrips) {
 }
 
 TEST_F(ResultStoreTest, SurvivesProcessRestart) {
-  // A second instance on the same root (what a new bench process or a
-  // restarted hsummad does) sees the first instance's objects.
+  // A second instance on the same root (what a new bench process with the
+  // same --cache-dir does) sees the first instance's objects.
   {
     ResultStore store({.root = root_});
     store.save("key-a", result_with(2.5));
@@ -98,17 +99,55 @@ TEST_F(ResultStoreTest, SimulatorSaltIsPinned) {
 }
 
 TEST_F(ResultStoreTest, PublishesLeaveNoTempFiles) {
-  ResultStore store({.root = root_});
-  for (int i = 0; i < 8; ++i)
-    store.save("key-" + std::to_string(i), result_with(i));
-  std::size_t objects = 0;
+  std::string namespace_dir;
+  {
+    ResultStore store({.root = root_});
+    for (int i = 0; i < 8; ++i)
+      store.save("key-" + std::to_string(i), result_with(i));
+    namespace_dir = store.namespace_dir();
+  }  // closing the store must not write anything either
+  // Every regular file under the root is an object at its content address:
+  // no temp files, no side files.
+  const fs::path objects = fs::path(namespace_dir) / "objects";
+  std::size_t count = 0;
   for (const auto& entry : fs::recursive_directory_iterator(root_)) {
     if (!entry.is_regular_file()) continue;
-    EXPECT_EQ(entry.path().extension(), ".json")
-        << "stray file: " << entry.path();
-    if (entry.path().filename() != "index.json") ++objects;
+    const fs::path& path = entry.path();
+    const std::string name = path.stem().string();
+    EXPECT_EQ(path, objects / name.substr(0, 2) / (name + ".json"))
+        << "stray file: " << path;
+    ++count;
   }
-  EXPECT_EQ(objects, 8u);
+  EXPECT_EQ(count, 8u);
+}
+
+TEST_F(ResultStoreTest, LeftoverIndexFromOlderStoreIsIgnored) {
+  // Older versions kept an LRU clock index.json beside the objects. A
+  // --cache-dir they wrote must keep serving its objects, and the index is
+  // neither read nor rewritten.
+  const fs::path index = [&] {
+    ResultStore store({.root = root_});
+    store.save("key-a", result_with(1.0));
+    store.save("key-b", result_with(2.0));
+    return fs::path(store.namespace_dir()) / "index.json";
+  }();
+  const std::string stale = "{\"clock\":\"7\",\"entries\":{\"" +
+                            ResultStore::object_name("key-a") +
+                            "\":\"3\",\"00000000deadbeef\":\"5\"}}";
+  std::ofstream(index) << stale;
+  {
+    ResultStore reopened({.root = root_});
+    EXPECT_EQ(reopened.stats().entries, 2u);
+    const auto a = reopened.load("key-a");
+    ASSERT_TRUE(a.has_value());
+    EXPECT_EQ(a->timing.total_time, 1.0);
+    EXPECT_TRUE(reopened.load("key-b").has_value());
+    reopened.save("key-c", result_with(3.0));
+    EXPECT_EQ(reopened.stats().bad_entries, 0u);
+  }
+  std::ostringstream after;
+  after << std::ifstream(index).rdbuf();
+  EXPECT_EQ(after.str(), stale) << "the stale index must be left untouched";
 }
 
 TEST_F(ResultStoreTest, CorruptObjectIsDroppedAndCounted) {
@@ -145,54 +184,6 @@ TEST_F(ResultStoreTest, KeyMismatchIsAMissNeverAWrongResult) {
   EXPECT_FALSE(reopened.load("key-b").has_value());
   EXPECT_EQ(reopened.stats().bad_entries, 1u);
   EXPECT_TRUE(reopened.load("key-a").has_value());
-}
-
-TEST_F(ResultStoreTest, ByteBudgetEvictsLeastRecentlyUsed) {
-  // Entries are a few hundred bytes; a 3-entry budget forces eviction on
-  // the fourth save. key-0 is touched between saves so key-1 is the LRU
-  // victim.
-  ResultStore sizer({.root = root_ + "-sizer"});
-  sizer.save("probe", result_with(1.0));
-  const std::uint64_t entry_bytes = sizer.stats().bytes;
-  ASSERT_GT(entry_bytes, 0u);
-  fs::remove_all(root_ + "-sizer");
-
-  ResultStore store({.root = root_, .byte_budget = 3 * entry_bytes + 2});
-  store.save("key-0", result_with(0.0));
-  store.save("key-1", result_with(1.0));
-  store.save("key-2", result_with(2.0));
-  ASSERT_TRUE(store.load("key-0").has_value());  // bump key-0's clock
-  store.save("key-3", result_with(3.0));
-  EXPECT_EQ(store.stats().evictions, 1u);
-  EXPECT_EQ(store.stats().entries, 3u);
-  EXPECT_LE(store.stats().bytes, 3 * entry_bytes + 2);
-  EXPECT_FALSE(store.load("key-1").has_value()) << "LRU entry should be gone";
-  EXPECT_TRUE(store.load("key-0").has_value());
-  EXPECT_TRUE(store.load("key-2").has_value());
-  EXPECT_TRUE(store.load("key-3").has_value());
-}
-
-TEST_F(ResultStoreTest, LruClocksSurviveRestartViaIndex) {
-  {
-    ResultStore store({.root = root_});
-    store.save("key-0", result_with(0.0));
-    store.save("key-1", result_with(1.0));
-    store.save("key-2", result_with(2.0));
-    ASSERT_TRUE(store.load("key-0").has_value());  // most recently used
-  }  // destructor flushes the index
-  const std::uint64_t entry_bytes = [&] {
-    ResultStore sizer({.root = root_ + "-sizer"});
-    sizer.save("probe", result_with(1.0));
-    return sizer.stats().bytes;
-  }();
-  fs::remove_all(root_ + "-sizer");
-  ResultStore reopened({.root = root_, .byte_budget = 2 * entry_bytes + 1});
-  reopened.save("key-3", result_with(3.0));  // must evict two LRU entries
-  EXPECT_TRUE(reopened.load("key-3").has_value());
-  EXPECT_TRUE(reopened.load("key-0").has_value())
-      << "the recently-used entry should have survived the restart";
-  EXPECT_FALSE(reopened.load("key-1").has_value());
-  EXPECT_FALSE(reopened.load("key-2").has_value());
 }
 
 TEST_F(ResultStoreTest, CollectMetricsExportsCountersAndFootprint) {
